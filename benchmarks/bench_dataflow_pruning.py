@@ -110,9 +110,9 @@ def test_key_predicate_beats_full_scatter():
 def test_pruned_read_contacts_only_the_owning_shard():
     system, engine = _deployment()
     owner = engine.partitioner.shard_for(TARGET_CUSTOMER)
-    before = [len(shard.metrics.records) for shard in engine.shards]
+    before = [shard.metrics.recorded for shard in engine.shards]
     result = system.execute(_program())
-    after = [len(shard.metrics.records) for shard in engine.shards]
+    after = [shard.metrics.recorded for shard in engine.shards]
     contacted = [i for i, (a, b) in enumerate(zip(after, before)) if a > b]
     assert contacted == [owner], f"contacted shards {contacted}, owner {owner}"
     read = [r for r in result.report.records

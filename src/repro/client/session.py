@@ -27,6 +27,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.cancellation import CancellationToken
+from repro.compiler.passes.pushdown import BIND_ACCESS_PATH, derive_access_path
 from repro.compiler.pipeline import CompilerOptions
 from repro.eide.dataflow import DataflowProgram
 from repro.eide.expressions import bind_params
@@ -256,9 +257,18 @@ class PreparedProgram:
             )
 
     def _bound_graph(self, graph: IRGraph, params: dict[str, Any]) -> IRGraph:
+        """A copy of ``graph`` with every ``Param`` bound.
+
+        Leaves whose absorbed predicate held a ``Param`` derive their access
+        path again from the bound values, so ``col("pid") == Param("pid")``
+        seeks an index and routes to the owning shard like a literal would.
+        """
         bound = graph.copy()
+        catalog = self._session.system.catalog
         for node in bound.nodes():
             node.params = _bind_value(node.params, params)
+            if node.annotations.get(BIND_ACCESS_PATH):
+                derive_access_path(node, catalog)
         return bound
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.catalog import Catalog
+from repro.eide.expressions import has_params
 from repro.ir.graph import IRGraph
 from repro.ir.nodes import Operator
 from repro.stores.relational.expressions import (
@@ -32,6 +33,9 @@ from repro.stores.relational.expressions import (
     and_,
     split_conjunction,
 )
+
+#: Literal values an equality can seek or route on.
+_SCALARS = (str, int, float, bool)
 
 
 def infer_columns(graph: IRGraph, catalog: Catalog | None = None) -> dict[str, frozenset[str]]:
@@ -165,6 +169,12 @@ ABSORBING_LEAF_KINDS = frozenset({
 })
 
 
+#: Annotation on a leaf whose absorbed predicate holds a ``Param``: its
+#: equality conjuncts only become scalars at bind time, so
+#: :func:`derive_access_path` runs again on the bound copy of the leaf.
+BIND_ACCESS_PATH = "bind_access_path"
+
+
 def absorb_into_leaves(graph: IRGraph, catalog: Catalog | None = None) -> int:
     """Merge filters that directly follow a leaf read into the leaf.
 
@@ -172,7 +182,10 @@ def absorb_into_leaves(graph: IRGraph, catalog: Catalog | None = None) -> int:
     with any predicate already absorbed), the filter node disappears, and —
     where a conjunct pins the read's key column to literal values — the leaf
     additionally gains explicit key routing hints the scatter-gather executor
-    prunes shards with.  Returns the number of filters absorbed.
+    prunes shards with.  A leaf whose predicate holds a ``Param`` is marked
+    with :data:`BIND_ACCESS_PATH` so the session derives its access path
+    again once the run's values are bound.  Returns the number of filters
+    absorbed.
     """
     rewrites = 0
     changed = True
@@ -195,8 +208,9 @@ def absorb_into_leaves(graph: IRGraph, catalog: Catalog | None = None) -> int:
             if isinstance(existing, Expression):
                 predicate = and_(existing, predicate)
             leaf.params["predicate"] = predicate
-            _extract_key_routing(leaf)
-            _convert_to_index_seek(leaf, catalog)
+            derive_access_path(leaf, catalog)
+            if has_params(predicate):
+                leaf.annotations[BIND_ACCESS_PATH] = True
             if node.op_id in graph.outputs and node.annotations.get("fragment"):
                 # The filter was a named program output; its name must keep
                 # resolving once the leaf answers in its place.
@@ -205,6 +219,19 @@ def absorb_into_leaves(graph: IRGraph, catalog: Catalog | None = None) -> int:
             rewrites += 1
             changed = True
     return rewrites
+
+
+def derive_access_path(leaf: Operator, catalog: Catalog | None) -> None:
+    """Derive a leaf read's access path from its absorbed predicate.
+
+    Called on every absorbed leaf at compile time and, for leaves marked
+    :data:`BIND_ACCESS_PATH`, again on the bound copy each prepared run
+    executes: once a ``Param`` is bound to a scalar, its equality conjunct
+    seeks and routes exactly like the literal would.  Bindings that are not
+    scalars (``None``, lists, ...) leave the read a plain predicated scan.
+    """
+    _extract_key_routing(leaf)
+    _convert_to_index_seek(leaf, catalog)
 
 
 def _extract_key_routing(leaf: Operator) -> None:
@@ -264,20 +291,11 @@ def _convert_to_index_seek(leaf: Operator, catalog: Catalog | None) -> None:
         return
     table = str(leaf.params.get("table", ""))
     for conjunct in split_conjunction(predicate):
-        if not (isinstance(conjunct, Comparison) and conjunct.op in ("=", "==")):
-            continue
-        left, right = conjunct.left, conjunct.right
-        if isinstance(right, ColumnRef) and isinstance(left, Literal):
-            left, right = right, left
-        if not (isinstance(left, ColumnRef) and isinstance(right, Literal)
-                and isinstance(right.value, (str, int, float, bool))):
-            continue
-        if not has_index(table, left.name):
-            continue
-        leaf.kind = "index_seek"
-        leaf.params["column"] = left.name
-        leaf.params["value"] = right.value
-        return
+        equality = _scalar_equality(conjunct)
+        if equality is not None and has_index(table, equality[0]):
+            leaf.kind = "index_seek"
+            leaf.params["column"], leaf.params["value"] = equality
+            return
 
 
 def predicate_key_values(predicate: Expression, column: str) -> list[Any] | None:
@@ -304,26 +322,37 @@ def predicate_key_values(predicate: Expression, column: str) -> list[Any] | None
 def key_text(value: Any) -> str:
     """Render a key value the way engines spell it inside prefixed keys.
 
-    Integer-valued floats collapse to their integer form so a predicate
-    written as ``col("pid") == 5.0`` still finds the series ``"hr/5"``.
+    Integer-valued floats and booleans collapse to their integer form so a
+    predicate written as ``col("pid") == 5.0`` still finds the series
+    ``"hr/5"`` and one on ``True`` finds ``"hr/1"`` (``1 == True``).
     """
+    if isinstance(value, bool):
+        return str(int(value))
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return str(value)
 
 
+def _scalar_equality(conjunct: Expression) -> tuple[str, Any] | None:
+    """``(column, value)`` when ``conjunct`` equates a column with a scalar
+    literal (either side), else ``None``."""
+    if not (isinstance(conjunct, Comparison) and conjunct.op in ("=", "==")):
+        return None
+    left, right = conjunct.left, conjunct.right
+    if isinstance(right, ColumnRef) and isinstance(left, Literal):
+        left, right = right, left
+    if (isinstance(left, ColumnRef) and isinstance(right, Literal)
+            and isinstance(right.value, _SCALARS)):
+        return left.name, right.value
+    return None
+
+
 def _conjunct_key_values(conjunct: Expression, column: str) -> list[Any] | None:
-    if isinstance(conjunct, Comparison) and conjunct.op in ("=", "=="):
-        left, right = conjunct.left, conjunct.right
-        if isinstance(right, ColumnRef) and isinstance(left, Literal):
-            left, right = right, left
-        if (isinstance(left, ColumnRef) and left.name == column
-                and isinstance(right, Literal)
-                and isinstance(right.value, (str, int, float, bool))):
-            return [right.value]
+    equality = _scalar_equality(conjunct)
+    if equality is not None:
+        return [equality[1]] if equality[0] == column else None
     if (isinstance(conjunct, InList) and isinstance(conjunct.operand, ColumnRef)
             and conjunct.operand.name == column
-            and all(isinstance(v, (str, int, float, bool))
-                    for v in conjunct.values)):
+            and all(isinstance(v, _SCALARS) for v in conjunct.values)):
         return list(conjunct.values)
     return None

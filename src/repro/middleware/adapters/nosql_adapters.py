@@ -38,6 +38,11 @@ def _coerce_key(key: str) -> Any:
         return key
 
 
+def _prefix_end(prefix: str) -> str | None:
+    """The first key after every key that starts with ``prefix``."""
+    return prefix[:-1] + chr(ord(prefix[-1]) + 1) if prefix else None
+
+
 class TableOpsMixin:
     """Partition-friendly ``filter``/``project`` over materialized tables.
 
@@ -80,21 +85,27 @@ class KeyValueAdapter(TableOpsMixin, Adapter):
     def execute(self, node: Operator, inputs: list[Any]) -> Table:
         if node.kind in ("filter", "project"):
             return self._table_op(node, inputs)
+        key_column = node.params.get("key_column", "key")
         if node.kind == "kv_get":
             keys = node.params.get("keys")
             prefix = node.params.get("key_prefix")
             if keys:
                 pairs = [(k, self.engine.get(k)) for k in keys if self.engine.contains(k)]
+                if not pairs and prefix:
+                    # The key hint named only absent keys.  Type the empty
+                    # result from the first entry under the prefix, as the
+                    # full prefix read would have.
+                    sample = next(self.engine.range(prefix, _prefix_end(prefix)), None)
+                    table = self._pairs_to_table([sample] if sample else [], prefix,
+                                                 key_column)
+                    return Table(table.schema, [])
             elif prefix is not None:
-                end = prefix[:-1] + chr(ord(prefix[-1]) + 1) if prefix else None
-                pairs = list(self.engine.range(prefix, end))
+                pairs = list(self.engine.range(prefix, _prefix_end(prefix)))
             else:
                 raise AdapterError(f"kv_get {node.op_id} needs keys or key_prefix")
         else:
             pairs = list(self.engine.range(node.params.get("start"), node.params.get("end")))
-            prefix = None
-        table = self._pairs_to_table(pairs, node.params.get("key_prefix"),
-                                     node.params.get("key_column", "key"))
+        table = self._pairs_to_table(pairs, node.params.get("key_prefix"), key_column)
         return apply_predicate(table, node)
 
     @staticmethod
@@ -262,24 +273,32 @@ class TextAdapter(TableOpsMixin, Adapter):
         prefix = node.params.get("doc_prefix")
         id_column = str(node.params.get("id_column", "doc_id"))
         doc_ids = node.params.get("doc_ids")
+        # documents_matching({}) returns every doc id, in order.
+        stored = [doc_id for doc_id in self.engine.documents_matching({})
+                  if prefix is None or doc_id.startswith(prefix)]
         if doc_ids is not None:
             # The pushdown pass pinned the read to explicit documents.
-            known = set(self.engine.documents_matching({}))
+            known = set(stored)
             candidates = [doc_id for doc_id in doc_ids if doc_id in known]
         else:
-            # documents_matching({}) returns every doc id.
-            candidates = self.engine.documents_matching({})
-        rows = []
-        for doc_id in candidates:
-            if prefix is not None and not doc_id.startswith(prefix):
-                continue
+            candidates = stored
+
+        def feature_row(doc_id: str) -> dict[str, Any]:
             entity = doc_id[len(prefix):] if prefix else doc_id
             features = self.engine.keyword_features(doc_id, keywords)
             row: dict[str, Any] = {id_column: _coerce_key(entity)}
             row.update({f"kw_{keyword}": value for keyword, value in features.items()})
-            rows.append(row)
+            return row
+
+        rows = [feature_row(doc_id) for doc_id in candidates]
         if not rows:
-            columns = [Column(id_column, DataType.STRING)]
-            columns += [Column(f"kw_{k}", DataType.FLOAT) for k in keywords]
-            return apply_predicate(Table(Schema(columns), []), node)
+            if stored:
+                # The doc id hint named only absent documents.  Type the
+                # empty result from the first stored document, as the full
+                # read would have.
+                schema = Table.from_dicts([feature_row(stored[0])]).schema
+            else:
+                schema = Schema([Column(id_column, DataType.STRING)]
+                                + [Column(f"kw_{k}", DataType.FLOAT) for k in keywords])
+            return apply_predicate(Table(schema, []), node)
         return apply_predicate(Table.from_dicts(rows), node)

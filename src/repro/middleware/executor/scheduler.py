@@ -38,6 +38,7 @@ from repro.middleware.feedback.stats import RuntimeStats
 from repro.middleware.migration import DataMigrator
 from repro.obs import Observability
 from repro.stores.base import Concurrency
+from repro.stores.ml.tensor_ops import OpCounter
 from repro.stores.relational.expressions import Expression
 
 
@@ -289,13 +290,15 @@ class Executor:
                                                 "window_aggregate"):
             value, simulated_extra, details = self._execute_offloaded(node, inputs)
             offloaded = True
+        elif node.accelerator and node.kind in ("train", "predict", "matmul", "gemv"):
+            # The GEMM work runs functionally on the host ML engine; charge
+            # the device's simulated time instead of the Python time.
+            with self._ml_counter(node).measure() as work:
+                value = self._execute_on_engine(node, inputs)
+            simulated_extra, details = self._charge_ml_offload(node, work)
+            offloaded = True
         else:
             value = self._execute_on_engine(node, inputs)
-            if node.accelerator and node.kind in ("train", "predict", "matmul", "gemv"):
-                # The GEMM work ran functionally on the host ML engine; charge
-                # the device's simulated time instead of the Python time.
-                simulated_extra, details = self._charge_ml_offload(node)
-                offloaded = True
         wall = time.perf_counter() - start
         simulated = simulated_extra if offloaded or node.kind == "migrate" else wall
         if node.kind == "migrate":
@@ -474,12 +477,17 @@ class Executor:
             return engine_value, estimate.total_s, {"kernel": "window_aggregate"}
         return self._execute_on_engine(node, inputs), 0.0, {"fallback": True}
 
-    def _charge_ml_offload(self, node: Operator) -> tuple[float, dict[str, Any]]:
-        device = self.catalog.accelerator(str(node.accelerator))
+    def _ml_counter(self, node: Operator) -> OpCounter:
+        """The ML engine's op counter (a throwaway one if it keeps none)."""
         ml_engine = self.catalog.engine(str(node.engine))
         counter = getattr(getattr(ml_engine, "ops", None), "counter", None)
-        flops = counter.flops if counter is not None else 0
-        bytes_moved = counter.bytes_moved if counter is not None else 0
+        return counter if isinstance(counter, OpCounter) else OpCounter()
+
+    def _charge_ml_offload(self, node: Operator,
+                           work: OpCounter) -> tuple[float, dict[str, Any]]:
+        """Charge the device for the work this node's run counted."""
+        device = self.catalog.accelerator(str(node.accelerator))
+        flops, bytes_moved = work.flops, work.bytes_moved
         from repro.accelerators.base import KernelSpec
 
         spec = KernelSpec(name="gemm", bytes_in=bytes_moved, bytes_out=0,

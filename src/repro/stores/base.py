@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import abc
 import enum
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
@@ -88,15 +90,28 @@ class OperationMetrics:
     details: dict[str, Any] = field(default_factory=dict)
 
 
+#: Operation records an engine keeps: the most recent ones, enough for the
+#: cost model to fit while memory stays flat under a sustained request rate.
+MAX_OPERATION_RECORDS = 4096
+
+
 class MetricsRecorder:
-    """Accumulates :class:`OperationMetrics` for an engine instance."""
+    """Accumulates :class:`OperationMetrics` for an engine instance.
+
+    Only the last :data:`MAX_OPERATION_RECORDS` are kept; :attr:`recorded`
+    counts every operation ever recorded.
+    """
 
     def __init__(self) -> None:
-        self._records: list[OperationMetrics] = []
+        self._records: deque[OperationMetrics] = deque(maxlen=MAX_OPERATION_RECORDS)
+        self._recorded = 0
+        self._lock = threading.Lock()
 
     def record(self, metrics: OperationMetrics) -> None:
         """Store one operation's metrics."""
-        self._records.append(metrics)
+        with self._lock:
+            self._records.append(metrics)
+            self._recorded += 1
 
     def timed(self, engine: str, operation: str, **details: Any) -> "_Timer":
         """Context manager that records wall time for ``operation``."""
@@ -104,19 +119,26 @@ class MetricsRecorder:
 
     @property
     def records(self) -> list[OperationMetrics]:
-        """All recorded metrics, oldest first."""
-        return list(self._records)
+        """The retained metrics, oldest first."""
+        with self._lock:
+            return list(self._records)
+
+    @property
+    def recorded(self) -> int:
+        """Operations recorded since construction (monotonic, never capped)."""
+        return self._recorded
 
     def total_time(self, operation: str | None = None) -> float:
-        """Total wall time across records, optionally filtered by operation."""
+        """Total wall time across retained records, optionally filtered by operation."""
         return sum(
-            r.wall_time_s for r in self._records
+            r.wall_time_s for r in self.records
             if operation is None or r.operation == operation
         )
 
     def clear(self) -> None:
-        """Drop all recorded metrics."""
-        self._records.clear()
+        """Drop all retained metrics."""
+        with self._lock:
+            self._records.clear()
 
     def __len__(self) -> int:
         return len(self._records)

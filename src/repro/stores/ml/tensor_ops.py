@@ -8,7 +8,10 @@ which the GPU/TPU accelerator simulators translate into offloaded time.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -25,12 +28,28 @@ class OpCounter:
     gemv_calls: int = 0
     elementwise_calls: int = 0
     per_op: dict[str, int] = field(default_factory=dict)
+    _local: threading.local = field(default_factory=threading.local,
+                                    repr=False, compare=False)
 
     def add(self, op: str, flops: int, bytes_moved: int) -> None:
         """Record one operation."""
         self.flops += flops
         self.bytes_moved += bytes_moved
         self.per_op[op] = self.per_op.get(op, 0) + flops
+        for scope in getattr(self._local, "scopes", ()):
+            scope.add(op, flops, bytes_moved)
+
+    @contextmanager
+    def measure(self) -> Iterator["OpCounter"]:
+        """Count, in a fresh counter, the work the calling thread adds
+        inside the block; work other threads add meanwhile is not in it."""
+        scopes = self._local.__dict__.setdefault("scopes", [])
+        scope = OpCounter()
+        scopes.append(scope)
+        try:
+            yield scope
+        finally:
+            scopes.pop()
 
     def reset(self) -> None:
         """Zero every counter."""

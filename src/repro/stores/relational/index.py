@@ -92,10 +92,17 @@ class SortedIndex:
         self._pending = []
 
     def lookup(self, key: Any) -> list[RowId]:
-        """Row ids whose indexed column equals ``key``."""
+        """Row ids whose indexed column equals ``key``.
+
+        A key that cannot be ordered against the indexed keys (``"5"`` on an
+        integer column) equals none of them: no rows, as a scan would find.
+        """
         self._flush()
-        lo = bisect.bisect_left(self._keys, key)
-        hi = bisect.bisect_right(self._keys, key)
+        try:
+            lo = bisect.bisect_left(self._keys, key)
+            hi = bisect.bisect_right(self._keys, key)
+        except TypeError:
+            return []
         return self._rids[lo:hi]
 
     def range(self, low: Any = None, high: Any = None, *,

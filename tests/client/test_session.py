@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro import HeterogeneousProgram, Param
@@ -280,6 +282,37 @@ class TestSatelliteFixes:
         system.register_accelerator(explicit, use_for_migration=True)
         system.register_accelerator(self._asic("asic-implicit"))
         assert system.serializer_accelerator is explicit
+
+
+    def test_offloaded_training_charges_only_its_own_flops(self):
+        # The ML engine's op counter is cumulative; each run is charged
+        # the work it added, so identical runs charge identical flops.
+        features = RelationalEngine("featuredb")
+        features.load_table("features", Table(make_schema(
+            ("a", DataType.FLOAT), ("b", DataType.FLOAT), ("y", DataType.INT)),
+            [(float(i % 7), float(i % 11), i % 2) for i in range(200)]))
+        system = build_accelerated_polystore([features, MLEngine("ml")])
+        program = HeterogeneousProgram("fit")
+        program.sql("rows", "SELECT a, b, y FROM features", engine="featuredb")
+        program.train("model", features="rows", label_column="y", epochs=2,
+                      engine="ml")
+        program.output("model")
+        prepared = system.session().prepare(program)
+        charged = []
+        for _ in range(2):
+            report = prepared.run(refresh=True).report
+            train = [r for r in report.records if r.kind == "train"][0]
+            assert train.offloaded
+            charged.append((train.details["flops"], train.simulated_time_s))
+        assert charged[0][0] > 0
+        assert charged[0] == charged[1]
+        # Runs that overlap on the same ML engine are each charged their
+        # own work, not the other run's too.
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            reports = list(pool.map(lambda _: prepared.run(refresh=True).report, range(2)))
+        for report in reports:
+            train = [r for r in report.records if r.kind == "train"][0]
+            assert train.details["flops"] == charged[0][0]
 
 
 class TestParamDefaultPinning:

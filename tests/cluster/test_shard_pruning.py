@@ -20,10 +20,10 @@ NUM_SHARDS = 4
 
 
 def _contacts(engine, action) -> list[int]:
-    """Indexes of shards whose metrics grew while ``action`` ran."""
-    before = [len(shard.metrics.records) for shard in engine.shards]
+    """Indexes of shards that recorded an operation while ``action`` ran."""
+    before = [shard.metrics.recorded for shard in engine.shards]
     result = action()
-    after = [len(shard.metrics.records) for shard in engine.shards]
+    after = [shard.metrics.recorded for shard in engine.shards]
     grown = [i for i, (a, b) in enumerate(zip(after, before)) if a > b]
     return grown, result
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,29 @@ class TestTensorOps:
         ops.relu(np.ones(4))
         ops.counter.reset()
         assert ops.counter.flops == 0
+
+    def test_measure_counts_only_the_calling_threads_work(self):
+        # Another thread's GEMM lands in the shared counter while this
+        # thread's measure block is open, but not in the block's count.
+        ops = TensorOps()
+        opened, other_done = threading.Event(), threading.Event()
+
+        def other():
+            opened.wait()
+            ops.gemm(np.ones((8, 8)), np.ones((8, 8)))
+            other_done.set()
+
+        worker = threading.Thread(target=other)
+        worker.start()
+        with ops.counter.measure() as outer:
+            opened.set()
+            other_done.wait()
+            with ops.counter.measure() as inner:
+                ops.gemm(np.ones((2, 3)), np.ones((3, 4)))
+        worker.join()
+        assert inner.flops == outer.flops == 2 * 2 * 3 * 4
+        assert outer.bytes_moved == inner.bytes_moved > 0
+        assert ops.counter.flops == 2 * 8 * 8 * 8 + 2 * 2 * 3 * 4
 
 
 class TestModels:

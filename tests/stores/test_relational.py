@@ -130,6 +130,14 @@ class TestEngine:
         result = relational_engine.index_lookup("patients", "pid", 3)
         assert result.column("name") == ["alan"]
 
+    @pytest.mark.parametrize("kind", ["hash", "sorted"])
+    def test_index_lookup_of_incomparable_key_finds_nothing(
+            self, relational_engine: RelationalEngine, kind: str):
+        # "3" equals no INT key: the seek answers like a scan would.
+        relational_engine.create_index("patients", "pid", kind=kind)
+        assert relational_engine.index_lookup("patients", "pid", "3").num_rows == 0
+        assert relational_engine.index_lookup("patients", "pid", 3).num_rows == 1
+
     def test_range_lookup_requires_sorted_index(self, relational_engine: RelationalEngine):
         with pytest.raises(StorageError):
             relational_engine.range_lookup("patients", "age", 50, 80)
@@ -149,6 +157,24 @@ class TestEngine:
         relational_engine.scan("patients")
         operations = [m.operation for m in relational_engine.metrics.records]
         assert "scan" in operations
+
+    def test_operation_log_keeps_only_recent_records(
+            self, relational_engine: RelationalEngine):
+        from repro.core import PolystorePlusPlus
+        from repro.stores.base import MAX_OPERATION_RECORDS
+
+        relational_engine.create_index("patients", "pid", kind="hash")
+        start = relational_engine.metrics.recorded
+        extra = 10
+        for i in range(MAX_OPERATION_RECORDS + extra):
+            relational_engine.index_lookup("patients", "pid", i % 5)
+        metrics = relational_engine.metrics
+        assert metrics.recorded == start + MAX_OPERATION_RECORDS + extra
+        assert len(metrics) == len(metrics.records) == MAX_OPERATION_RECORDS
+        assert all(r.operation == "index_seek" for r in metrics.records)
+        system = PolystorePlusPlus()
+        system.register_engine(relational_engine)
+        assert system.recalibrate_cost_model() == 1  # index_seek fitted
 
     def test_empty_result_keeps_schema(self, relational_engine: RelationalEngine):
         result = relational_engine.execute_sql("SELECT pid FROM patients WHERE age > 200")
