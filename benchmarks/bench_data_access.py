@@ -34,8 +34,7 @@ def test_host_scan_filter(benchmark, events_engine, selectivity):
     predicate = compare("value", "<", selectivity)
 
     def run():
-        rows = events_engine.scan("events").to_dicts()
-        return Filter(TableScan(rows), predicate).execute()
+        return Filter(TableScan.of(events_engine.scan("events")), predicate).execute()
 
     kept = benchmark(run)
     benchmark.extra_info["experiment"] = "E3"

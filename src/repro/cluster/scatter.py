@@ -30,6 +30,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from repro.cancellation import CancellationToken
@@ -44,7 +45,7 @@ from repro.middleware.feedback.stats import RuntimeStats
 from repro.obs import Observability
 from repro.ir.nodes import Operator
 from repro.stores.base import Engine
-from repro.stores.relational.operators import AggregateSpec
+from repro.stores.relational.operators import AggregateSpec, row_getter
 
 #: Leaf reads that fan out across every shard (engine state is partitioned).
 LEAF_KINDS = frozenset({
@@ -496,9 +497,6 @@ class CombineSpec:
     alias: str
     function: str
     partials: tuple[str, ...]
-    #: Source column the aggregate reads (``None`` for ``count(*)``); the
-    #: empty-result path derives the output column's dtype from it.
-    column: str | None = None
 
 
 def decompose_aggregates(aggregates: Sequence[AggregateSpec]
@@ -516,13 +514,11 @@ def decompose_aggregates(aggregates: Sequence[AggregateSpec]
             count_alias = f"__p{position}_count"
             partials.append(AggregateSpec("sum", spec.column, sum_alias))
             partials.append(AggregateSpec("count", spec.column, count_alias))
-            combines.append(CombineSpec(spec.alias, "avg", (sum_alias, count_alias),
-                                        spec.column))
+            combines.append(CombineSpec(spec.alias, "avg", (sum_alias, count_alias)))
         else:
             partial_alias = f"__p{position}_{spec.function}"
             partials.append(AggregateSpec(spec.function, spec.column, partial_alias))
-            combines.append(CombineSpec(spec.alias, spec.function, (partial_alias,),
-                                        spec.column))
+            combines.append(CombineSpec(spec.alias, spec.function, (partial_alias,)))
     return partials, combines
 
 
@@ -532,35 +528,40 @@ def combine_partial_aggregates(parts: Sequence[Table], group_by: Sequence[str],
 
     Groups appearing on several shards are combined; SQL null semantics are
     preserved (``sum``/``min``/``max`` over no non-null values stay ``None``).
+    The output schema follows from the partial schema by the single-node
+    rule (:meth:`AggregateSpec.dtype`), so it is the same whether or not
+    any shard produced a row.
     """
-    grouped: dict[tuple, dict[str, Any]] = {}
-    order: list[tuple] = []
+    partial_names = [name for combine in combines for name in combine.partials]
+    grouped: dict[tuple, list[tuple]] = {}
     for part in parts:
-        for row in part.to_dicts():
-            key = tuple(row.get(name) for name in group_by)
-            if key not in grouped:
-                grouped[key] = {name: [] for combine in combines
-                                for name in combine.partials}
-                order.append(key)
-            for combine in combines:
-                for name in combine.partials:
-                    grouped[key][name].append(row.get(name))
-    rows: list[dict[str, Any]] = []
-    for key in order:
-        out: dict[str, Any] = dict(zip(group_by, key))
-        partials = grouped[key]
-        for combine in combines:
-            out[combine.alias] = _combine_one(combine, partials)
-        rows.append(out)
+        key_of = row_getter(part.schema, group_by)
+        partials_of = row_getter(part.schema, partial_names)
+        for row in part.rows:
+            key = key_of(row)
+            members = grouped.get(key)
+            if members is None:
+                grouped[key] = [partials_of(row)]
+            else:
+                members.append(partials_of(row))
+    rows: list[tuple] = []
+    for key, members in grouped.items():
+        partials = dict(zip(partial_names, zip(*members)))
+        rows.append(key + tuple(_combine_one(combine, partials) for combine in combines))
     if not group_by and not rows:
-        rows.append({combine.alias: 0 if combine.function == "count" else None
-                     for combine in combines})
-    if rows:
-        return Table.from_dicts(rows)
-    return Table(_aggregate_schema(parts, group_by, combines), [])
+        rows.append(tuple(0 if combine.function == "count" else None
+                          for combine in combines))
+    schema = parts[0].schema if parts else Schema(())
+    columns = [schema[name] if name in schema else Column(name, DataType.STRING)
+               for name in group_by]
+    columns += [Column(combine.alias,
+                       AggregateSpec(combine.function, combine.partials[0],
+                                     combine.alias).dtype(schema))
+                for combine in combines]
+    return Table(Schema(columns), rows)
 
 
-def _combine_one(combine: CombineSpec, partials: dict[str, list[Any]]) -> Any:
+def _combine_one(combine: CombineSpec, partials: dict[str, Sequence[Any]]) -> Any:
     if combine.function == "avg":
         total = sum(v for v in partials[combine.partials[0]] if v is not None)
         count = sum(v for v in partials[combine.partials[1]] if v is not None)
@@ -577,50 +578,6 @@ def _combine_one(combine: CombineSpec, partials: dict[str, list[Any]]) -> Any:
     return max(values)
 
 
-def _aggregate_schema(parts: Sequence[Table], group_by: Sequence[str],
-                      combines: Sequence[CombineSpec]) -> Schema:
-    """Typed schema for an empty combined-aggregate result.
-
-    Group columns take their dtype from whichever shard partial carries
-    them.  Aggregate columns derive theirs from the *source* column's dtype
-    in the shard partial tables (``min``/``max`` preserve it, ``sum`` of
-    ints stays int) — hardcoding FLOAT here mistyped ``min``/``max`` over
-    string and int columns whenever every shard came back empty.
-    """
-    columns: list[Column] = []
-    for name in group_by:
-        columns.append(_part_column(parts, name) or Column(name, DataType.STRING))
-    for combine in combines:
-        columns.append(Column(combine.alias, _combine_dtype(parts, combine)))
-    return Schema(columns)
-
-
-def _part_column(parts: Sequence[Table], name: str | None) -> Column | None:
-    if name is None:
-        return None
-    for part in parts:
-        if name in part.schema:
-            return part.schema[name]
-    return None
-
-
-def _combine_dtype(parts: Sequence[Table], combine: CombineSpec) -> DataType:
-    if combine.function == "count":
-        return DataType.INT
-    if combine.function == "avg":
-        return DataType.FLOAT
-    # Prefer the partial column's dtype (present when a shard produced a
-    # typed partial table), then the source column's dtype from the shard
-    # input schemas the empty partials carry.
-    source = _part_column(parts, combine.partials[0]) \
-        or _part_column(parts, combine.column)
-    if source is None:
-        return DataType.FLOAT
-    if combine.function == "sum" and source.dtype is DataType.BOOL:
-        return DataType.INT  # Python sums booleans to int, as SQL does
-    return source.dtype
-
-
 # -- order-preserving merges ----------------------------------------------------------
 
 
@@ -635,16 +592,21 @@ def _ordered_merge(parts: Sequence[Table], by: str, descending: bool, *,
     non_empty = [part for part in parts if len(part)]
     if not non_empty:
         return parts[0] if parts else Table(Schema([Column(by, DataType.FLOAT)]), [])
+    union = concat_tables(non_empty)  # one schema for every run
+    runs: list[list[tuple]] = []
+    start = 0
+    for part in non_empty:
+        runs.append(union.rows[start:start + len(part)])
+        start += len(part)
+    value_of = row_getter(union.schema, [by])
 
-    def key(row: dict[str, Any]) -> tuple:
-        value = row.get(by)
+    def key(row: tuple) -> tuple:
+        (value,) = value_of(row)
         if stringify and value is not None:
             return (True, str(value))
         return (value is not None, value)
 
-    runs = [part.to_dicts() for part in non_empty]
-    merged = list(heapq.merge(*runs, key=key, reverse=descending))
-    return Table.from_dicts(merged)
+    return Table(union.schema, heapq.merge(*runs, key=key, reverse=descending))
 
 
 def _global_top_k(parts: Sequence[Table], by: str, k: int, descending: bool) -> Table:
@@ -661,19 +623,15 @@ def _global_top_k(parts: Sequence[Table], by: str, k: int, descending: bool) -> 
     stable order is the global insertion order partitioning destroyed.
     Unique sort keys reproduce single-node output exactly; see DESIGN.md.
     """
-    candidates = (row for part in parts for row in part.to_dicts()
-                  if row.get(by) is not None)
-    if k <= 0:
-        kept: list[dict[str, Any]] = []
-    elif descending:
-        kept = heapq.nlargest(k, candidates, key=lambda r: r[by])
-    else:
-        kept = heapq.nsmallest(k, candidates, key=lambda r: r[by])
-    if kept:
-        return Table.from_dicts(kept)
-    if parts:
-        return Table(parts[0].schema, [])
-    return Table(Schema([Column(by, DataType.FLOAT)]), [])
+    if not parts:
+        return Table(Schema([Column(by, DataType.FLOAT)]), [])
+    union = concat_tables(parts)
+    if k <= 0 or by not in union.schema:
+        return Table(union.schema, [])
+    value_of = itemgetter(union.schema.index_of(by))
+    candidates = [row for row in union.rows if value_of(row) is not None]
+    select = heapq.nlargest if descending else heapq.nsmallest
+    return Table(union.schema, select(k, candidates, key=value_of))
 
 
 def _rerank_search(parts: Sequence[Table], top_k: int) -> Table:

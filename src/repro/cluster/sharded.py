@@ -915,14 +915,10 @@ def concat_tables(parts: Sequence[Table]) -> Table:
     non_empty = [part for part in parts if len(part)]
     if not non_empty:
         return parts[0]
-    base = non_empty[0]
-    try:
-        result = base
-        for part in non_empty[1:]:
-            result = result.concat(part)
-        return result
-    except Exception:  # noqa: BLE001 - schema drift between shards
-        rows: list[dict[str, Any]] = []
-        for part in non_empty:
-            rows.extend(part.to_dicts())
-        return Table.from_dicts(rows)
+    schema = non_empty[0].schema
+    if all(part.schema == schema for part in non_empty):
+        return Table(schema, [row for part in non_empty for row in part.rows])
+    rows: list[dict[str, Any]] = []
+    for part in non_empty:
+        rows.extend(part.to_dicts())
+    return Table.from_dicts(rows)

@@ -33,8 +33,7 @@ def apply_predicate(table: Table, node: Operator) -> Table:
     predicate = node.params.get("predicate")
     if not isinstance(predicate, Expression):
         return table
-    rows = Filter(TableScan(table.to_dicts()), predicate).execute()
-    return Table.from_dicts(rows) if rows else Table(table.schema, [])
+    return Filter(TableScan.of(table), predicate).to_table()
 
 
 class Adapter(abc.ABC):

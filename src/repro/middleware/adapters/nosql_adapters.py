@@ -61,15 +61,13 @@ class TableOpsMixin:
                 f"operator {node.op_id} expected a Table input, "
                 f"got {type(value).__name__}"
             )
-        scan = TableScan(value.to_dicts())
+        scan = TableScan.of(value)
         if node.kind == "filter":
             predicate = node.params.get("predicate")
             if not isinstance(predicate, Expression):
                 raise AdapterError(f"filter {node.op_id} has no predicate expression")
-            rows = Filter(scan, predicate).execute()
-        else:
-            rows = Project(scan, list(node.params.get("columns") or [])).execute()
-        return Table.from_dicts(rows) if rows else Table(value.schema, [])
+            return Filter(scan, predicate).to_table()
+        return Project(scan, list(node.params.get("columns") or [])).to_table()
 
 
 class KeyValueAdapter(TableOpsMixin, Adapter):

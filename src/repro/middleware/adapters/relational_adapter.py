@@ -25,6 +25,7 @@ from repro.stores.relational.operators import (
     GroupByAggregate,
     HashJoin,
     Limit,
+    PhysicalOperator,
     Project,
     Sort,
     SortMergeJoin,
@@ -88,46 +89,39 @@ class RelationalAdapter(Adapter):
         kind = node.kind
         if kind == "join":
             self._require_inputs(node, inputs, 2)
-            left = self._as_table(inputs[0], node)
-            right = self._as_table(inputs[1], node)
-            left_scan = TableScan(left.to_dicts())
-            right_scan = TableScan(right.to_dicts())
-            algorithm = node.params.get("algorithm", "hash")
-            if algorithm == "sort_merge":
-                operator = SortMergeJoin(left_scan, right_scan,
-                                         str(node.params["left_key"]),
-                                         str(node.params["right_key"]))
+            left = TableScan.of(self._as_table(inputs[0], node))
+            right = TableScan.of(self._as_table(inputs[1], node))
+            left_key = str(node.params["left_key"])
+            right_key = str(node.params["right_key"])
+            if node.params.get("algorithm", "hash") == "sort_merge":
+                operator: PhysicalOperator = SortMergeJoin(left, right, left_key, right_key)
             else:
-                operator = HashJoin(left_scan, right_scan,
-                                    str(node.params["left_key"]),
-                                    str(node.params["right_key"]),
+                operator = HashJoin(left, right, left_key, right_key,
                                     how=node.params.get("how", "inner"))
-            rows = operator.execute()
-            return Table.from_dicts(rows) if rows else Table(left.schema, [])
+            return operator.to_table()
         self._require_inputs(node, inputs, 1)
-        table = self._as_table(inputs[0], node)
-        scan = TableScan(table.to_dicts())
+        scan = TableScan.of(self._as_table(inputs[0], node))
         if kind == "filter":
             predicate = node.params.get("predicate")
             if not isinstance(predicate, Expression):
                 raise AdapterError(f"filter {node.op_id} has no predicate expression")
-            rows = Filter(scan, predicate).execute()
+            operator = Filter(scan, predicate)
         elif kind == "project":
-            rows = Project(scan, list(node.params.get("columns") or [])).execute()
+            operator = Project(scan, list(node.params.get("columns") or []))
         elif kind == "aggregate":
-            rows = GroupByAggregate(scan, list(node.params.get("group_by") or []),
-                                    list(node.params.get("aggregates") or [])).execute()
+            operator = GroupByAggregate(scan, list(node.params.get("group_by") or []),
+                                        list(node.params.get("aggregates") or []))
         elif kind == "sort":
-            rows = Sort(scan, [str(node.params["by"])],
-                        descending=bool(node.params.get("descending", False))).execute()
+            operator = Sort(scan, [str(node.params["by"])],
+                            descending=bool(node.params.get("descending", False)))
         elif kind == "limit":
-            rows = Limit(scan, int(node.params["n"])).execute()
+            operator = Limit(scan, int(node.params["n"]))
         elif kind == "top_k":
-            rows = TopK(scan, str(node.params["by"]), int(node.params["k"]),
-                        descending=bool(node.params.get("descending", True))).execute()
+            operator = TopK(scan, str(node.params["by"]), int(node.params["k"]),
+                            descending=bool(node.params.get("descending", True)))
         else:
             raise AdapterError(f"relational adapter cannot execute {kind!r}")
-        return Table.from_dicts(rows) if rows else Table(table.schema, [])
+        return operator.to_table()
 
     @staticmethod
     def _as_table(value: Any, node: Operator) -> Table:

@@ -62,7 +62,9 @@ class RuntimeStats:
 
     #: Mean observed shard subtask time below which concurrent fan-out costs
     #: more in thread dispatch than it saves; the scatter path goes serial.
-    SERIAL_FANOUT_THRESHOLD_S = 2e-4
+    #: A 4-shard scan + partial aggregate over 6000 rows (~0.3 ms subtasks)
+    #: took 10.7 ms wall dispatched to threads and 5.8 ms serially.
+    SERIAL_FANOUT_THRESHOLD_S = 1e-3
 
     def __init__(self, smoothing: float = 0.5, *,
                  min_actionable_rows: int = 512,

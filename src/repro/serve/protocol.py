@@ -103,7 +103,10 @@ async def read_frame(reader) -> dict[str, Any] | None:
         if not exc.partial:
             return None
         raise ProtocolError("connection closed mid-frame") from None
-    body = await reader.readexactly(frame_length(prefix))
+    try:
+        body = await reader.readexactly(frame_length(prefix))
+    except asyncio.IncompleteReadError:
+        raise ProtocolError("connection closed mid-frame") from None
     return decode_body(body)
 
 
@@ -168,12 +171,10 @@ def serialize_value(value: Any) -> Any:
     dicts survive, exotic handles degrade to their string form.
     """
     if isinstance(value, Table):
-        columns = list(value.schema.names)
         return {
             "kind": "table",
-            "columns": columns,
-            "rows": [[row.get(name) for name in columns]
-                     for row in value.to_dicts()],
+            "columns": list(value.schema.names),
+            "rows": [list(row) for row in value.rows],
         }
     return value
 

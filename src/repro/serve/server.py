@@ -151,6 +151,9 @@ class PolystoreServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: threading.Thread | None = None
         self._tcp_server: asyncio.AbstractServer | None = None
+        #: Open TCP connections: handler task -> its stream writer (loop
+        #: thread only).
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._sweeper: "asyncio.Task | None" = None
         self._address: tuple[str, int] | None = None
         self._slots: "queue.Queue[_SessionSlot]" = queue.Queue()
@@ -213,6 +216,15 @@ class PolystoreServer:
         try:
             loop.run_forever()
         finally:
+            # Whatever is still pending (a handler that raced stop, the
+            # cancelled sweeper) finishes on the open loop instead of being
+            # destroyed pending against a closed one.
+            pending = asyncio.all_tasks(loop)
+            for task in pending:
+                task.cancel()
+            if pending:
+                loop.run_until_complete(
+                    asyncio.gather(*pending, return_exceptions=True))
             loop.close()
 
     async def _start_tcp(self) -> tuple[str, int]:
@@ -244,6 +256,10 @@ class PolystoreServer:
         # Workers finish their in-flight requests; completions still flow
         # through the live loop, so clients get real responses, not EOF.
         self._workers.shutdown(wait=True)
+        # Queued behind those completions on the loop, so every response is
+        # written before its connection closes.
+        asyncio.run_coroutine_threadsafe(self._close_connections(),
+                                         self._loop).result(timeout=10)
         # From here until the loop closes, call_soon_threadsafe would accept
         # callbacks the loop will never run; _submit checks this flag.
         self._loop_stopping = True
@@ -260,12 +276,29 @@ class PolystoreServer:
         if self._sweeper is not None:
             self._sweeper.cancel()
         if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
+            self._tcp_server.close()  # stop accepting; connections stay open
         for request in self._admission.drain():
             self._finish_rejected(request, protocol.SHUTTING_DOWN,
                                   "server is shutting down",
                                   reason="shutdown")
+
+    async def _close_connections(self) -> None:
+        """Close every client connection, then wait for the listener.
+
+        Each transport closes once its buffered responses are written; its
+        handler, typically blocked reading the next frame, then reads EOF
+        and returns on the running loop.  (Handlers are not cancelled: on
+        Python 3.11 the stream protocol's done-callback reports a cancelled
+        handler as a loop error.)  This precedes ``wait_closed``, which on
+        Python >= 3.12.1 waits for every open connection.
+        """
+        handlers = list(self._connections.items())
+        for _, writer in handlers:
+            writer.close()
+        await asyncio.gather(*(task for task, _ in handlers),
+                             return_exceptions=True)
+        if self._tcp_server is not None:
+            await self._tcp_server.wait_closed()
 
     def __enter__(self) -> "PolystoreServer":
         return self
@@ -284,6 +317,8 @@ class PolystoreServer:
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         tracker: set[tuple[str, Any]] = set()
+        task = asyncio.current_task()
+        self._connections[task] = writer
 
         def deliver(response: dict[str, Any]) -> None:
             try:
@@ -304,6 +339,7 @@ class PolystoreServer:
                     break
                 self._handle_message(message, deliver, tracker)
         finally:
+            self._connections.pop(task, None)
             # A dropped connection cancels whatever it still had in flight.
             for key in list(tracker):
                 self._cancel_inflight(key, reason="client disconnected")

@@ -20,7 +20,6 @@ from repro.stores.changelog import table_scope
 from repro.stores.relational.expressions import Expression
 from repro.stores.relational.index import HashIndex, SortedIndex
 from repro.stores.relational.operators import (
-    AggregateSpec,
     Filter,
     GroupByAggregate,
     HashJoin,
@@ -271,6 +270,7 @@ class RelationalEngine(Engine):
         """Rebuild a table's heap applying a delete or update in one pass."""
         stored = self._stored(table)
         names = stored.schema.names
+        matches = predicate.compile(stored.schema)
         kept: list[tuple] = []
         deleted: list[tuple] = []
         updated: list[tuple[tuple, tuple]] = []
@@ -278,7 +278,7 @@ class RelationalEngine(Engine):
         with self.metrics.timed(self.name, operation, table=table) as timer:
             for row in stored.heap.scan():
                 row_t = tuple(row)
-                if not predicate.evaluate(dict(zip(names, row_t))):
+                if not matches(row_t):
                     kept.append(row_t)
                     continue
                 if updates is None:
@@ -326,13 +326,8 @@ class RelationalEngine(Engine):
     def execute_plan(self, plan: LogicalPlan) -> Table:
         """Execute a logical plan and return the result table."""
         with self.metrics.timed(self.name, "execute_plan", plan=plan.describe()) as timer:
-            operator = self._lower(plan)
-            rows = operator.execute()
-            timer.rows_out = len(rows)
-        if rows:
-            result = Table.from_dicts(rows)
-        else:
-            result = Table(self._plan_schema(plan), [])
+            result = self._lower(plan).to_table()
+            timer.rows_out = len(result)
         return result
 
     # -- direct native operations (used by the adapter) ---------------------------------
@@ -389,23 +384,20 @@ class RelationalEngine(Engine):
     def top_k(self, table: str, by: str, k: int, *, descending: bool = True) -> Table:
         """Top-k rows of a table by one column."""
         stored = self._stored(table)
-        scan = TableScan(stored.heap.to_table().to_dicts())
-        rows = TopK(scan, by, k, descending=descending).execute()
-        return Table.from_dicts(rows) if rows else Table(stored.schema, [])
+        scan = TableScan(stored.schema, stored.heap.scan())
+        return TopK(scan, by, k, descending=descending).to_table()
 
     # -- plan lowering -------------------------------------------------------------------
 
     def _lower(self, plan: LogicalPlan) -> PhysicalOperator:
         if isinstance(plan, ScanPlan):
             stored = self._stored(plan.table)
-            dicts = stored.heap.to_table().to_dicts()
-            operator: PhysicalOperator = TableScan(dicts)
+            operator: PhysicalOperator = TableScan(stored.schema, stored.heap.scan())
             if plan.columns is not None:
                 operator = Project(operator, plan.columns)
             return operator
         if isinstance(plan, IndexSeekPlan):
-            result = self.index_lookup(plan.table, plan.column, plan.value)
-            return TableScan(result.to_dicts())
+            return TableScan.of(self.index_lookup(plan.table, plan.column, plan.value))
         if isinstance(plan, FilterPlan):
             return Filter(self._lower(plan.child), plan.predicate)
         if isinstance(plan, ProjectPlan):
@@ -423,27 +415,6 @@ class RelationalEngine(Engine):
         if isinstance(plan, LimitPlan):
             return Limit(self._lower(plan.child), plan.n)
         raise QueryError(f"cannot lower plan node {type(plan).__name__}")
-
-    def _plan_schema(self, plan: LogicalPlan) -> Schema:
-        """Best-effort output schema for a plan (used for empty results)."""
-        if isinstance(plan, (ScanPlan, IndexSeekPlan)):
-            return self._stored(plan.table).schema
-        if isinstance(plan, ProjectPlan):
-            return self._plan_schema(plan.child).project(list(plan.columns))
-        if isinstance(plan, (FilterPlan, SortPlan, LimitPlan)):
-            return self._plan_schema(plan.child)
-        if isinstance(plan, JoinPlan):
-            left = self._plan_schema(plan.left)
-            right = self._plan_schema(plan.right)
-            extra = [c for c in right if c.name not in left.names]
-            return Schema(list(left) + extra)
-        if isinstance(plan, AggregatePlan):
-            child = self._plan_schema(plan.child)
-            from repro.datamodel.schema import Column, DataType
-            columns = [child[name] for name in plan.group_by]
-            columns += [Column(a.alias, DataType.FLOAT) for a in plan.aggregates]
-            return Schema(columns)
-        raise QueryError(f"cannot infer schema for plan node {type(plan).__name__}")
 
     def _stored(self, name: str) -> StoredTable:
         try:

@@ -2,9 +2,10 @@
 
 Expressions appear in WHERE predicates, projections and join conditions.
 They form a small tree of :class:`Expression` nodes which can be evaluated
-against a row dictionary, inspected for referenced columns (used by the
-compiler's predicate-pushdown pass) and estimated for selectivity (used by
-the cost model).
+against a row dictionary, compiled against a schema into a closure over
+positional rows (what the volcano operators call per row), inspected for
+referenced columns (used by the compiler's predicate-pushdown pass) and
+estimated for selectivity (used by the cost model).
 """
 
 from __future__ import annotations
@@ -12,9 +13,15 @@ from __future__ import annotations
 import abc
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.exceptions import QueryError
+
+if TYPE_CHECKING:
+    from repro.datamodel.schema import Schema
+
+#: A compiled expression: positional row in, the value ``evaluate`` gives out.
+RowFunction = Callable[[Sequence[Any]], Any]
 
 _COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
     "=": operator.eq,
@@ -51,6 +58,16 @@ class Expression(abc.ABC):
     @abc.abstractmethod
     def evaluate(self, row: Mapping[str, Any]) -> Any:
         """Evaluate against a row given as ``{column: value}``."""
+
+    @abc.abstractmethod
+    def compile(self, schema: "Schema") -> RowFunction:
+        """This expression as a closure over positional rows of ``schema``.
+
+        The closure returns what :meth:`evaluate` returns for the same row
+        given as a dictionary, including its errors: an unknown column
+        raises :class:`QueryError` only when a row is evaluated.  Compile
+        once per operator and call per row.
+        """
 
     @abc.abstractmethod
     def referenced_columns(self) -> frozenset[str]:
@@ -147,6 +164,15 @@ class ColumnRef(Expression):
         except KeyError as exc:
             raise QueryError(f"unknown column {self.name!r} in expression") from exc
 
+    def compile(self, schema: "Schema") -> RowFunction:
+        if self.name in schema:
+            return operator.itemgetter(schema.index_of(self.name))
+        name = self.name
+
+        def unknown(row: Sequence[Any]) -> Any:
+            raise QueryError(f"unknown column {name!r} in expression")
+        return unknown
+
     def referenced_columns(self) -> frozenset[str]:
         return frozenset({self.name})
 
@@ -162,6 +188,10 @@ class Literal(Expression):
 
     def evaluate(self, row: Mapping[str, Any]) -> Any:
         return self.value
+
+    def compile(self, schema: "Schema") -> RowFunction:
+        value = self.value
+        return lambda row: value
 
     def referenced_columns(self) -> frozenset[str]:
         return frozenset()
@@ -190,6 +220,29 @@ class Comparison(Expression):
         if left is None or right is None:
             return False
         return bool(_COMPARISONS[self.op](left, right))
+
+    def compile(self, schema: "Schema") -> RowFunction:
+        compare = _COMPARISONS[self.op]
+        if (isinstance(self.left, ColumnRef) and self.left.name in schema
+                and isinstance(self.right, Literal) and self.right.value is not None):
+            # The common ``column <op> constant`` predicate, one frame per row.
+            position = schema.index_of(self.left.name)
+            constant = self.right.value
+
+            def column_vs_constant(row: Sequence[Any]) -> bool:
+                value = row[position]
+                return value is not None and bool(compare(value, constant))
+            return column_vs_constant
+        left = self.left.compile(schema)
+        right = self.right.compile(schema)
+
+        def comparison(row: Sequence[Any]) -> bool:
+            a = left(row)
+            b = right(row)
+            if a is None or b is None:
+                return False
+            return bool(compare(a, b))
+        return comparison
 
     def referenced_columns(self) -> frozenset[str]:
         return self.left.referenced_columns() | self.right.referenced_columns()
@@ -226,6 +279,26 @@ class BooleanOp(Expression):
         if self.op == "or":
             return any(op.evaluate(row) for op in self.operands)
         return not self.operands[0].evaluate(row)
+
+    def compile(self, schema: "Schema") -> RowFunction:
+        parts = [operand.compile(schema) for operand in self.operands]
+        if self.op == "not":
+            (inner,) = parts
+            return lambda row: not inner(row)
+        if self.op == "and":
+            def conjunction(row: Sequence[Any]) -> bool:
+                for part in parts:
+                    if not part(row):
+                        return False
+                return True
+            return conjunction
+
+        def disjunction(row: Sequence[Any]) -> bool:
+            for part in parts:
+                if part(row):
+                    return True
+            return False
+        return disjunction
 
     def referenced_columns(self) -> frozenset[str]:
         columns: frozenset[str] = frozenset()
@@ -276,6 +349,22 @@ class Arithmetic(Expression):
         except ZeroDivisionError:
             return None
 
+    def compile(self, schema: "Schema") -> RowFunction:
+        apply = _ARITHMETIC[self.op]
+        left = self.left.compile(schema)
+        right = self.right.compile(schema)
+
+        def arithmetic(row: Sequence[Any]) -> Any:
+            a = left(row)
+            b = right(row)
+            if a is None or b is None:
+                return None
+            try:
+                return apply(a, b)
+            except ZeroDivisionError:
+                return None
+        return arithmetic
+
     def referenced_columns(self) -> frozenset[str]:
         return self.left.referenced_columns() | self.right.referenced_columns()
 
@@ -293,6 +382,11 @@ class InList(Expression):
     def evaluate(self, row: Mapping[str, Any]) -> bool:
         value = self.operand.evaluate(row)
         return value in self.values
+
+    def compile(self, schema: "Schema") -> RowFunction:
+        operand = self.operand.compile(schema)
+        values = self.values
+        return lambda row: operand(row) in values
 
     def referenced_columns(self) -> frozenset[str]:
         return self.operand.referenced_columns()
@@ -315,6 +409,12 @@ class IsNull(Expression):
     def evaluate(self, row: Mapping[str, Any]) -> bool:
         is_null = self.operand.evaluate(row) is None
         return not is_null if self.negated else is_null
+
+    def compile(self, schema: "Schema") -> RowFunction:
+        operand = self.operand.compile(schema)
+        if self.negated:
+            return lambda row: operand(row) is not None
+        return lambda row: operand(row) is None
 
     def referenced_columns(self) -> frozenset[str]:
         return self.operand.referenced_columns()

@@ -1,8 +1,18 @@
 """Volcano-style physical operators for the relational engine.
 
-Each operator is an iterator over row dictionaries.  The set matches the
-operators the paper lists as what SQL queries are lowered to (§III-A-1):
-projection, hash, sort, group-by and join, plus scans, filters and limits.
+Each operator is an iterator over positional rows (tuples) and carries the
+:class:`~repro.datamodel.schema.Schema` of those rows, derived from its
+inputs when it is built: filter, sort, limit and top-k keep their child's
+schema, projection takes a subset, a join is its left side plus the right
+columns the left lacks, and an aggregate is its group columns plus one
+column per aggregate typed by :meth:`AggregateSpec.dtype`.  So the schema of
+a result never depends on which rows happened to match.  Predicates compile
+once per operator into closures over row positions
+(:meth:`~repro.stores.relational.expressions.Expression.compile`).
+
+The set matches the operators the paper lists as what SQL queries are
+lowered to (§III-A-1): projection, hash, sort, group-by and join, plus
+scans, filters and limits.
 
 The sort operator has two implementations: the engine's native CPU sort
 (Timsort) and a software model of a *bitonic sorting network*, the algorithm
@@ -16,35 +26,55 @@ from __future__ import annotations
 import abc
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import islice
+from operator import add, itemgetter
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from repro.datamodel.schema import Column, DataType, Schema
+from repro.datamodel.table import Row, Table
 from repro.exceptions import QueryError
 from repro.stores.relational.expressions import Expression
 
-RowDict = dict[str, Any]
-
 
 class PhysicalOperator(abc.ABC):
-    """Base class for iterator-model physical operators."""
+    """Base class for iterator-model physical operators.
+
+    ``schema`` describes every row the operator yields.
+    """
+
+    schema: Schema
 
     @abc.abstractmethod
-    def __iter__(self) -> Iterator[RowDict]:
+    def __iter__(self) -> Iterator[Row]:
         """Yield output rows."""
 
-    def execute(self) -> list[RowDict]:
+    def execute(self) -> list[Row]:
         """Materialize all output rows."""
         return list(self)
 
+    def to_table(self) -> Table:
+        """Materialize the output as a :class:`Table` of this operator's schema."""
+        return Table(self.schema, self.execute())
+
 
 class TableScan(PhysicalOperator):
-    """Full sequential scan over an iterable of row dictionaries."""
+    """Full sequential scan over positional rows of ``schema`` (shared, not copied).
 
-    def __init__(self, rows: Iterable[RowDict]) -> None:
+    ``rows`` is iterated once per pass, so a one-shot iterable (a heap scan
+    generator) makes a one-pass operator.
+    """
+
+    def __init__(self, schema: Schema, rows: Iterable[Row]) -> None:
+        self.schema = schema
         self._rows = rows
 
-    def __iter__(self) -> Iterator[RowDict]:
-        for row in self._rows:
-            yield dict(row)
+    @classmethod
+    def of(cls, table: Table) -> "TableScan":
+        """A scan over a materialized table."""
+        return cls(table.schema, table.rows)
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self._rows)
 
 
 class Filter(PhysicalOperator):
@@ -52,33 +82,37 @@ class Filter(PhysicalOperator):
 
     def __init__(self, child: PhysicalOperator, predicate: Expression) -> None:
         self._child = child
-        self._predicate = predicate
+        self.schema = child.schema
+        self._test = predicate.compile(child.schema)
 
-    def __iter__(self) -> Iterator[RowDict]:
-        for row in self._child:
-            if self._predicate.evaluate(row):
-                yield row
+    def __iter__(self) -> Iterator[Row]:
+        return filter(self._test, self._child)
 
 
 class Project(PhysicalOperator):
-    """Keep only named columns, or compute derived columns from expressions."""
+    """Keep only the named columns, in the given order.
 
-    def __init__(self, child: PhysicalOperator, columns: Sequence[str],
-                 computed: Mapping[str, Expression] | None = None) -> None:
+    A name the child lacks raises :class:`QueryError` once a row reaches it,
+    like an unknown column in a predicate; its output column is typed as an
+    all-NULL column would be inferred (nullable STRING).
+    """
+
+    def __init__(self, child: PhysicalOperator, columns: Sequence[str]) -> None:
         self._child = child
-        self._columns = list(columns)
-        self._computed = dict(computed or {})
+        names = list(dict.fromkeys(columns))
+        self.schema = Schema(_column_or_null(child.schema, name) for name in names)
+        missing = [name for name in names if name not in child.schema]
+        if not missing:
+            self._pick = row_getter(child.schema, names)
+            return
+        message = f"projection references unknown column {missing[0]!r}"
 
-    def __iter__(self) -> Iterator[RowDict]:
-        for row in self._child:
-            out: RowDict = {}
-            for name in self._columns:
-                if name not in row:
-                    raise QueryError(f"projection references unknown column {name!r}")
-                out[name] = row[name]
-            for name, expr in self._computed.items():
-                out[name] = expr.evaluate(row)
-            yield out
+        def unknown(row: Row) -> Row:
+            raise QueryError(message)
+        self._pick = unknown
+
+    def __iter__(self) -> Iterator[Row]:
+        return map(self._pick, self._child)
 
 
 class Limit(PhysicalOperator):
@@ -88,34 +122,45 @@ class Limit(PhysicalOperator):
         if n < 0:
             raise QueryError("LIMIT must be non-negative")
         self._child = child
+        self.schema = child.schema
         self._n = n
 
-    def __iter__(self) -> Iterator[RowDict]:
-        count = 0
-        for row in self._child:
-            if count >= self._n:
-                return
-            yield row
-            count += 1
+    def __iter__(self) -> Iterator[Row]:
+        return islice(self._child, self._n)
 
 
 class Sort(PhysicalOperator):
-    """In-memory sort by one or more columns (CPU Timsort path)."""
+    """In-memory sort by one or more columns (CPU Timsort path).
+
+    ``None`` sorts first (last when descending); a column the child lacks
+    reads as ``None``.
+    """
 
     def __init__(self, child: PhysicalOperator, by: Sequence[str], *,
                  descending: bool = False) -> None:
         self._child = child
-        self._by = list(by)
+        self.schema = child.schema
+        self._key = _sort_key([_position(child.schema, name) for name in by])
         self._descending = descending
 
-    def __iter__(self) -> Iterator[RowDict]:
+    def __iter__(self) -> Iterator[Row]:
         rows = list(self._child)
-        rows.sort(key=_sort_key(self._by), reverse=self._descending)
-        yield from rows
+        rows.sort(key=self._key, reverse=self._descending)
+        return iter(rows)
+
+
+def _join_schema(left: Schema, right: Schema) -> tuple[Schema, Callable[[Row], Row]]:
+    """Join output schema (left, then right columns the left lacks) and the
+    getter of those right columns."""
+    extra = [column for column in right if column.name not in left]
+    return Schema(list(left) + extra), row_getter(right, [c.name for c in extra])
 
 
 class HashJoin(PhysicalOperator):
-    """Equi-join using an in-memory hash table built on the right input."""
+    """Equi-join using an in-memory hash table built on the right input.
+
+    NULL keys never match, and a key column a side lacks reads as NULL.
+    """
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  left_key: str, right_key: str, *, how: str = "inner") -> None:
@@ -123,36 +168,30 @@ class HashJoin(PhysicalOperator):
             raise QueryError(f"unsupported join type {how!r}")
         self._left = left
         self._right = right
-        self._left_key = left_key
-        self._right_key = right_key
+        self._left_key = _position(left.schema, left_key)
+        self._right_key = _position(right.schema, right_key)
         self._how = how
+        self.schema, self._extra = _join_schema(left.schema, right.schema)
 
-    def __iter__(self) -> Iterator[RowDict]:
-        buckets: dict[Any, list[RowDict]] = {}
-        right_columns: set[str] = set()
-        for row in self._right:
-            right_columns.update(row.keys())
-            key = row.get(self._right_key)
-            if key is None:
-                continue
-            buckets.setdefault(key, []).append(row)
-        null_right = {name: None for name in right_columns}
+    def __iter__(self) -> Iterator[Row]:
+        buckets: dict[Any, list[Row]] = {}
+        right_key, extra = self._right_key, self._extra
+        if right_key is not None:
+            for row in self._right:
+                key = row[right_key]
+                if key is not None:
+                    buckets.setdefault(key, []).append(extra(row))
+        left_key = self._left_key
+        padding = (None,) * (len(self.schema) - len(self._left.schema))
+        keep_unmatched = self._how == "left"
         for left_row in self._left:
-            key = left_row.get(self._left_key)
-            matches = buckets.get(key, []) if key is not None else []
+            key = left_row[left_key] if left_key is not None else None
+            matches = buckets.get(key) if key is not None else None
             if matches:
-                for right_row in matches:
-                    merged = dict(left_row)
-                    for name, value in right_row.items():
-                        if name not in merged:
-                            merged[name] = value
-                    yield merged
-            elif self._how == "left":
-                merged = dict(left_row)
-                for name, value in null_right.items():
-                    if name not in merged:
-                        merged[name] = value
-                yield merged
+                for right_part in matches:
+                    yield left_row + right_part
+            elif keep_unmatched:
+                yield left_row + padding
 
 
 class SortMergeJoin(PhysicalOperator):
@@ -167,40 +206,37 @@ class SortMergeJoin(PhysicalOperator):
                  left_key: str, right_key: str) -> None:
         self._left = left
         self._right = right
-        self._left_key = left_key
-        self._right_key = right_key
+        self._left_key = _position(left.schema, left_key)
+        self._right_key = _position(right.schema, right_key)
+        self.schema, self._extra = _join_schema(left.schema, right.schema)
 
-    def __iter__(self) -> Iterator[RowDict]:
-        left_rows = sorted(
-            (r for r in self._left if r.get(self._left_key) is not None),
-            key=lambda r: r[self._left_key],
-        )
-        right_rows = sorted(
-            (r for r in self._right if r.get(self._right_key) is not None),
-            key=lambda r: r[self._right_key],
-        )
+    def __iter__(self) -> Iterator[Row]:
+        lk, rk, extra = self._left_key, self._right_key, self._extra
+        if lk is None or rk is None:
+            return
+        left_rows = sorted((r for r in self._left if r[lk] is not None),
+                           key=itemgetter(lk))
+        right_rows = sorted((r for r in self._right if r[rk] is not None),
+                            key=itemgetter(rk))
         i = j = 0
         while i < len(left_rows) and j < len(right_rows):
-            lkey = left_rows[i][self._left_key]
-            rkey = right_rows[j][self._right_key]
+            lkey = left_rows[i][lk]
+            rkey = right_rows[j][rk]
             if lkey < rkey:
                 i += 1
             elif lkey > rkey:
                 j += 1
             else:
                 j_end = j
-                while j_end < len(right_rows) and right_rows[j_end][self._right_key] == lkey:
+                while j_end < len(right_rows) and right_rows[j_end][rk] == lkey:
                     j_end += 1
                 i_end = i
-                while i_end < len(left_rows) and left_rows[i_end][self._left_key] == lkey:
+                while i_end < len(left_rows) and left_rows[i_end][lk] == lkey:
                     i_end += 1
-                for li in range(i, i_end):
-                    for rj in range(j, j_end):
-                        merged = dict(left_rows[li])
-                        for name, value in right_rows[rj].items():
-                            if name not in merged:
-                                merged[name] = value
-                        yield merged
+                right_parts = [extra(row) for row in right_rows[j:j_end]]
+                for left_row in left_rows[i:i_end]:
+                    for right_part in right_parts:
+                        yield left_row + right_part
                 i, j = i_end, j_end
 
 
@@ -220,84 +256,146 @@ class AggregateSpec:
         if self.function != "count" and self.column is None:
             raise QueryError(f"aggregate {self.function!r} requires a column")
 
+    def dtype(self, schema: Schema) -> DataType:
+        """The output column's type over an input of ``schema``.
+
+        count → INT, avg → FLOAT, sum over BOOL → INT (Python and SQL both
+        sum booleans to integers), otherwise the source column's type.  A
+        source column the input lacks only ever aggregates NULLs (FLOAT).
+        """
+        if self.function == "count":
+            return DataType.INT
+        if self.function == "avg" or self.column not in schema:
+            return DataType.FLOAT
+        source = schema[self.column].dtype
+        if self.function == "sum" and source is DataType.BOOL:
+            return DataType.INT
+        return source
+
 
 class GroupByAggregate(PhysicalOperator):
-    """Hash group-by with the standard SQL aggregates."""
+    """Hash group-by with the standard SQL aggregates.
+
+    Groups come out in first-seen order.  With no group columns the input
+    is one group, so an empty input still yields one row.  A group column
+    the child lacks reads as NULL.
+    """
 
     def __init__(self, child: PhysicalOperator, group_by: Sequence[str],
                  aggregates: Sequence[AggregateSpec]) -> None:
         self._child = child
+        schema = child.schema
         self._group_by = list(group_by)
-        self._aggregates = list(aggregates)
+        self._key = row_getter(schema, group_by)
+        self._aggregators = [_aggregator(spec, schema) for spec in aggregates]
+        self.schema = Schema(
+            [_column_or_null(schema, name) for name in group_by]
+            + [Column(spec.alias, spec.dtype(schema)) for spec in aggregates])
 
-    def __iter__(self) -> Iterator[RowDict]:
-        groups: dict[tuple, list[RowDict]] = {}
-        order: list[tuple] = []
-        for row in self._child:
-            key = tuple(row.get(name) for name in self._group_by)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-        if not self._group_by and not groups:
-            # Aggregates over an empty input still produce a single row.
-            groups[()] = []
-            order.append(())
-        for key in order:
-            rows = groups[key]
-            out: RowDict = dict(zip(self._group_by, key))
-            for spec in self._aggregates:
-                out[spec.alias] = _aggregate(spec, rows)
-            yield out
+    def __iter__(self) -> Iterator[Row]:
+        if not self._group_by:
+            groups: dict[Row, list[Row]] = {(): list(self._child)}
+        else:
+            groups = {}
+            key_of = self._key
+            for row in self._child:
+                key = key_of(row)
+                members = groups.get(key)
+                if members is None:
+                    groups[key] = [row]
+                else:
+                    members.append(row)
+        if not self._aggregators:
+            return iter(groups)
+        columns = [list(map(aggregate, groups.values())) for aggregate in self._aggregators]
+        return map(add, groups, zip(*columns))
 
 
 class TopK(PhysicalOperator):
-    """Heap-based top-k by a column, equivalent to ORDER BY ... LIMIT k."""
+    """Heap-based top-k by a column, equivalent to ORDER BY ... LIMIT k.
+
+    Rows whose ``by`` value is NULL never qualify.
+    """
 
     def __init__(self, child: PhysicalOperator, by: str, k: int, *,
                  descending: bool = True) -> None:
         if k < 0:
             raise QueryError("k must be non-negative")
         self._child = child
-        self._by = by
+        self.schema = child.schema
+        self._by = _position(child.schema, by)
         self._k = k
         self._descending = descending
 
-    def __iter__(self) -> Iterator[RowDict]:
-        rows = [r for r in self._child if r.get(self._by) is not None]
-        if self._k == 0:
-            return
-        if self._descending:
-            top = heapq.nlargest(self._k, rows, key=lambda r: r[self._by])
-        else:
-            top = heapq.nsmallest(self._k, rows, key=lambda r: r[self._by])
-        yield from top
+    def __iter__(self) -> Iterator[Row]:
+        by = self._by
+        if by is None or self._k == 0:
+            return iter(())
+        rows = [r for r in self._child if r[by] is not None]
+        select = heapq.nlargest if self._descending else heapq.nsmallest
+        return iter(select(self._k, rows, key=itemgetter(by)))
 
 
-def _aggregate(spec: AggregateSpec, rows: list[RowDict]) -> Any:
+def _aggregator(spec: AggregateSpec, schema: Schema) -> Callable[[list[Row]], Any]:
+    """``spec`` as a function of one group's rows, for inputs of ``schema``.
+
+    NULLs are skipped; sum/avg/min/max over no non-NULL value are NULL.
+    """
+    if spec.column is None:
+        return len  # count(*)
+    if spec.column not in schema:  # only NULLs to aggregate
+        return (lambda rows: 0) if spec.function == "count" else (lambda rows: None)
+    value_of = itemgetter(schema.index_of(spec.column))
     if spec.function == "count":
-        if spec.column is None:
-            return len(rows)
-        return sum(1 for r in rows if r.get(spec.column) is not None)
-    values = [r[spec.column] for r in rows if r.get(spec.column) is not None]
-    if not values:
-        return None
-    if spec.function == "sum":
-        return sum(values)
-    if spec.function == "avg":
-        return sum(values) / len(values)
-    if spec.function == "min":
-        return min(values)
-    return max(values)
+        return lambda rows: len([v for v in map(value_of, rows) if v is not None])
+    reduce = _REDUCERS[spec.function]
+
+    def aggregate(rows: list[Row]) -> Any:
+        values = [v for v in map(value_of, rows) if v is not None]
+        return reduce(values) if values else None
+    return aggregate
 
 
-def _sort_key(by: Sequence[str]) -> Callable[[RowDict], tuple]:
-    def key(row: RowDict) -> tuple:
-        parts = []
-        for name in by:
-            value = row.get(name)
-            parts.append((value is not None, value))
-        return tuple(parts)
+_REDUCERS: dict[str, Callable[[list[Any]], Any]] = {
+    "sum": sum,
+    "avg": lambda values: sum(values) / len(values),
+    "min": min,
+    "max": max,
+}
+
+
+def _position(schema: Schema, name: str) -> int | None:
+    """Position of ``name`` in ``schema``, ``None`` when absent (reads as NULL)."""
+    return schema.index_of(name) if name in schema else None
+
+
+def _column_or_null(schema: Schema, name: str) -> Column:
+    """The input's column, or the nullable STRING an all-NULL column infers to."""
+    return schema[name] if name in schema else Column(name, DataType.STRING)
+
+
+def row_getter(schema: Schema, names: Sequence[str]) -> Callable[[Row], Row]:
+    """A function from a row of ``schema`` to the tuple of the named columns'
+    values; a name the schema lacks reads as NULL."""
+    positions = [_position(schema, name) for name in names]
+    if None in positions:
+        return lambda row: tuple(None if p is None else row[p] for p in positions)
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda row: (row[only],)
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
+
+
+def _sort_key(positions: Sequence[int | None]) -> Callable[[Row], tuple]:
+    if len(positions) == 1 and positions[0] is not None:
+        (only,) = positions
+        return lambda row: (row[only] is not None, row[only])
+
+    def key(row: Row) -> tuple:
+        return tuple((row[p] is not None, row[p]) if p is not None else (False, None)
+                     for p in positions)
     return key
 
 

@@ -28,11 +28,14 @@ import abc
 from collections import Counter
 from typing import Any, Sequence
 
+from repro.datamodel.schema import Schema
+from repro.datamodel.table import Table
 from repro.stores.relational.expressions import Expression
 from repro.stores.relational.operators import (
     AggregateSpec,
     HashJoin,
     Limit,
+    PhysicalOperator,
     Sort,
     TableScan,
     TopK,
@@ -57,9 +60,10 @@ class DeltaFilter(DeltaOperator):
     def apply(self, *deltas: ZSet) -> ZSet:
         (delta,) = deltas
         out = ZSet()
+        evaluate, add = self.predicate.evaluate, out.add
         for frozen, weight in delta.items():
-            if self.predicate.evaluate(thaw_row(frozen)):
-                out.add(frozen, weight)
+            if evaluate(thaw_row(frozen)):
+                add(frozen, weight)
         return out
 
 
@@ -174,12 +178,13 @@ class DeltaAggregate(DeltaOperator):
     def apply(self, *deltas: ZSet) -> ZSet:
         (delta,) = deltas
         touched: dict[tuple, ZSet] = {}
+        group_by = self.group_by
         for frozen, weight in delta.items():
-            row = thaw_row(frozen)
-            key = tuple(row.get(name) for name in self.group_by)
-            if key not in touched:
-                touched[key] = ZSet()
-            touched[key].add(frozen, weight)
+            key = tuple(map(thaw_row(frozen).get, group_by))
+            group = touched.get(key)
+            if group is None:
+                group = touched[key] = ZSet()
+            group.add(frozen, weight)
         if not self._genesis_done:
             # First application (the seed pass, over an empty view state):
             # force the global group through so its row is emitted even when
@@ -202,22 +207,24 @@ class DeltaAggregate(DeltaOperator):
         state = self._groups.get(key)
         if state is None:
             state = self._groups[key] = _GroupState(len(self.specs))
+        columns = [(i, spec.column, spec.function)
+                   for i, spec in enumerate(self.specs) if spec.column is not None]
+        nonnull, sums, values = state.nonnull, state.sums, state.values
         for frozen, weight in group_delta.items():
             row = thaw_row(frozen)
             state.weight += weight
-            for i, spec in enumerate(self.specs):
-                if spec.column is None:
-                    continue
-                value = row.get(spec.column)
+            for i, column, function in columns:
+                value = row.get(column)
                 if value is None:
                     continue
-                state.nonnull[i] += weight
-                if spec.function in ("sum", "avg"):
-                    state.sums[i] += value * weight
-                elif spec.function in ("min", "max"):
-                    state.values[i][value] += weight
-                    if state.values[i][value] == 0:
-                        del state.values[i][value]
+                nonnull[i] += weight
+                if function in ("sum", "avg"):
+                    sums[i] += value * weight
+                elif function in ("min", "max"):
+                    counter = values[i]
+                    counter[value] += weight
+                    if counter[value] == 0:
+                        del counter[value]
         if state.weight < 0 or any(n < 0 for n in state.nonnull):
             raise ValueError(
                 f"group {key!r} reached negative multiplicity; "
@@ -301,22 +308,24 @@ class DeltaRecompute(DeltaOperator):
         return diff
 
     def _recompute(self) -> list[dict[str, Any]]:
-        rows = [state.to_rows() for state in self._inputs]
+        # The volcano operators run on positional rows: convert the Z-set
+        # dict rows once on the way in and once on the way out.
+        scans = [TableScan.of(_as_table(state.to_rows())) for state in self._inputs]
         bottom_kind, bottom_params = self.stages[0]
         if bottom_kind == "join":
-            operator = HashJoin(TableScan(rows[0]), TableScan(rows[1]),
+            operator = HashJoin(scans[0], scans[1],
                                 str(bottom_params["left_key"]),
                                 str(bottom_params["right_key"]),
                                 how=str(bottom_params.get("how", "inner")))
         else:
-            operator = self._stage_operator(bottom_kind, bottom_params,
-                                            TableScan(rows[0]))
+            operator = self._stage_operator(bottom_kind, bottom_params, scans[0])
         for kind, params in self.stages[1:]:
             operator = self._stage_operator(kind, params, operator)
-        return operator.execute()
+        return operator.to_table().to_dicts()
 
     @staticmethod
-    def _stage_operator(kind: str, params: dict[str, Any], child):
+    def _stage_operator(kind: str, params: dict[str, Any],
+                        child: PhysicalOperator) -> PhysicalOperator:
         if kind == "sort":
             return Sort(child, [str(params["by"])],
                         descending=bool(params.get("descending", False)))
@@ -326,3 +335,9 @@ class DeltaRecompute(DeltaOperator):
             return TopK(child, str(params["by"]), int(params["k"]),
                         descending=bool(params.get("descending", True)))
         raise ValueError(f"DeltaRecompute cannot re-execute kind {kind!r}")
+
+
+def _as_table(rows: list[dict[str, Any]]) -> Table:
+    """Z-set rows as a table; no rows is a zero-column table (a left join
+    against it then adds no NULL columns, as no observed right row would)."""
+    return Table.from_dicts(rows) if rows else Table(Schema(()), [])

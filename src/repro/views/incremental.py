@@ -38,7 +38,7 @@ from repro.ir.nodes import Operator
 from repro.stores.changelog import leaf_read_scope, table_scope
 from repro.stores.base import DataModel
 from repro.stores.relational.expressions import Expression
-from repro.stores.relational.operators import AggregateSpec
+from repro.stores.relational.operators import AggregateSpec, row_getter
 from repro.views.delta_ops import (
     DeltaAggregate,
     DeltaFilter,
@@ -47,7 +47,7 @@ from repro.views.delta_ops import (
     DeltaProject,
     DeltaRecompute,
 )
-from repro.views.zset import ZSet, freeze_row
+from repro.views.zset import ZSet
 
 
 class ResyncRequired(ExecutionError):
@@ -114,13 +114,15 @@ class ChangelogSource:
             )
         delta = ZSet()
         if batches:
-            names = engine.table_schema(self.table).names
+            # Frozen rows are (name, value) pairs sorted by name: build them
+            # straight from the positional records, as ``freeze_row`` would
+            # from the (projected) row dicts.
+            schema = engine.table_schema(self.table)
+            keys = sorted(dict.fromkeys(self.columns or schema.names))
+            values_of = row_getter(schema, keys)
             for batch in batches:
                 for record, weight in batch.entries:
-                    row = dict(zip(names, record))
-                    if self.columns is not None:
-                        row = {name: row.get(name) for name in self.columns}
-                    delta.add(freeze_row(row), weight)
+                    delta.add(tuple(zip(keys, values_of(record))), weight)
         # Advance to the head even when nothing matched: a complete
         # scope-filtered read provably missed nothing, and a lagging cursor
         # would let heavy writes to *other* scopes trim the log past it.

@@ -28,17 +28,22 @@ from repro.cluster.scatter import (
 from repro.core import build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.stores import RelationalEngine
-from repro.stores.relational.operators import AggregateSpec, GroupByAggregate
+from repro.stores.relational.operators import (
+    AggregateSpec,
+    GroupByAggregate,
+    TableScan,
+    TopK,
+)
+
+INPUT_SCHEMA = make_schema(
+    ("group", DataType.STRING), ("int_val", DataType.INT),
+    ("float_val", DataType.FLOAT), ("label", DataType.STRING))
+TOPK_SCHEMA = make_schema(("item", DataType.INT), ("score", DataType.FLOAT))
 
 
-class _Rows:
-    """A leaf physical operator over materialized rows."""
-
-    def __init__(self, rows):
-        self._rows = rows
-
-    def __iter__(self):
-        return iter(self._rows)
+def _scan(rows: list[dict], schema=INPUT_SCHEMA) -> TableScan:
+    """A leaf physical operator over materialized dict rows."""
+    return TableScan.of(Table.from_dicts(rows, schema))
 
 
 AGGREGATES = [
@@ -84,23 +89,21 @@ def _partition(rng: random.Random, rows: list[dict], shards: int) -> list[list[d
     return parts
 
 
+def _single_node_table(rows: list[dict], group_by: list[str],
+                       aggregates: list[AggregateSpec]) -> Table:
+    return GroupByAggregate(_scan(rows), group_by, aggregates).to_table()
+
+
 def _single_node(rows: list[dict], group_by: list[str],
                  aggregates: list[AggregateSpec]) -> list[dict]:
-    return list(GroupByAggregate(_Rows(rows), group_by, aggregates))
+    return _single_node_table(rows, group_by, aggregates).to_dicts()
 
 
 def _sharded(parts: list[list[dict]], group_by: list[str],
              aggregates: list[AggregateSpec]) -> Table:
     partial_specs, combines = decompose_aggregates(aggregates)
-    partial_tables = []
-    for shard_rows in parts:
-        partial_rows = _single_node(shard_rows, group_by, partial_specs)
-        if partial_rows:
-            partial_tables.append(Table.from_dicts(partial_rows))
-        else:
-            partial_tables.append(Table(make_schema(
-                ("group", DataType.STRING), ("int_val", DataType.INT),
-                ("float_val", DataType.FLOAT), ("label", DataType.STRING)), []))
+    partial_tables = [_single_node_table(shard_rows, group_by, partial_specs)
+                      for shard_rows in parts]
     return combine_partial_aggregates(partial_tables, group_by, combines)
 
 
@@ -172,19 +175,15 @@ def _topk_rows(rng: random.Random, n: int) -> list[dict]:
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("descending", [True, False])
 def test_global_top_k_matches_single_node(seed, descending):
-    from repro.stores.relational.operators import TopK
-
     rng = random.Random(seed)
     rows = _topk_rows(rng, rng.choice([0, 5, 30]))
     k = rng.choice([0, 1, 3, 10])
-    parts = []
-    for shard_rows in _partition(rng, rows, rng.randint(1, 4)):
-        local = list(TopK(_Rows(shard_rows), "score", k, descending=descending))
-        parts.append(Table.from_dicts(local) if local
-                     else Table(make_schema(("item", DataType.INT),
-                                            ("score", DataType.FLOAT)), []))
+    parts = [TopK(_scan(shard_rows, TOPK_SCHEMA), "score", k,
+                  descending=descending).to_table()
+             for shard_rows in _partition(rng, rows, rng.randint(1, 4))]
     combined = _global_top_k(parts, "score", k, descending)
-    reference = list(TopK(_Rows(rows), "score", k, descending=descending))
+    reference = TopK(_scan(rows, TOPK_SCHEMA), "score", k,
+                     descending=descending).to_table().to_dicts()
 
     combined_rows = combined.to_dicts()
     # None scores never qualify (single-node drops them before the heap).

@@ -93,6 +93,26 @@ class TestSerialization:
         assert value["columns"] == ["pid", "name"]
         assert value["rows"] == [[1, "ada"], [2, "alan"]]
 
+    def test_table_with_nulls_frames_as_before(self):
+        """Positional rows frame to the same bytes as reading each row back
+        by column name from a dict did."""
+        schema = make_schema(("pid", DataType.INT), ("score", DataType.FLOAT),
+                             ("name", DataType.STRING))
+        table = Table(schema, [(1, None, "ada"), (None, 2.5, None),
+                               (3, 0.0, "")])
+        by_name = {
+            "kind": "table",
+            "columns": list(schema.names),
+            "rows": [[row.get(name) for name in schema.names]
+                     for row in table.to_dicts()],
+        }
+        frame = encode_frame(ok_response(4, outputs={"t": serialize_value(table)}))
+        assert frame == encode_frame(ok_response(4, outputs={"t": by_name}))
+        assert frame[4:] == (
+            b'{"id":4,"ok":true,"outputs":{"t":{"kind":"table",'
+            b'"columns":["pid","score","name"],'
+            b'"rows":[[1,null,"ada"],[null,2.5,null],[3,0.0,""]]}}}')
+
     def test_non_table_values_pass_through(self):
         outputs = serialize_outputs({"n": 3, "s": "x", "d": {"k": 1}})
         assert outputs == {"n": 3, "s": "x", "d": {"k": 1}}

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import logging
 import socket
+import sys
 import threading
 import time
 
@@ -510,6 +513,44 @@ class TestShutdown:
             client.execute("patients_over", timeout=30)
         assert exc_info.value.code == "SHUTTING_DOWN"
         assert exc_info.value.retryable
+
+
+    def test_stop_closes_idle_and_mid_frame_tcp_connections(self, monkeypatch,
+                                                              caplog):
+        # Connection handlers block reading their next frame; stop() must
+        # finish them on the running loop, not leave them pending against a
+        # closed one ("Event loop is closed" from writer.close(), then "Task
+        # was destroyed but it is pending!").
+        unraisable: list = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        system = _system()
+        server = system.serve()
+        host, port = server.address
+        idle = TcpClient(host, port)
+        assert idle.ping(timeout=30)
+        mid_frame = socket.create_connection((host, port), timeout=30)
+        frame = protocol.encode_frame({"op": "ping", "id": "half"})
+        mid_frame.sendall(frame[:len(frame) // 2])
+        deadline = time.monotonic() + 30
+        while server._call_on_loop(lambda: len(server._connections)) < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        try:
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                start = time.monotonic()
+                server.stop()
+                elapsed = time.monotonic() - start
+                gc.collect()
+            assert elapsed < 5
+            for sock in (idle._sock, mid_frame):
+                sock.settimeout(5)
+                assert sock.recv(1) == b""  # EOF, not a reset or a hang
+            assert unraisable == []
+            assert [r.getMessage() for r in caplog.records
+                    if r.name == "asyncio" and r.levelno >= logging.ERROR] == []
+        finally:
+            idle.close()
+            mid_frame.close()
 
 
 class TestCancellationErrorMapping:
