@@ -5,11 +5,9 @@ stay in hospital for more than five days, joining admissions (relational),
 bedside vitals (timeseries) and clinical notes (text), then training a neural
 network — and compares the three execution modes.
 
-This example deliberately stays on the **legacy fluent builder API**
-(``HeterogeneousProgram``): it doubles as the regression check that the
-compatibility shim over the dataflow lowering keeps old-style programs
-working unchanged (quickstart and the recommendation pipeline show the
-dataflow API).
+The admissions read is a SQL dataset leaf (``dataset(engine).sql(...)``),
+parsed into the same dataflow trees that quickstart and the recommendation
+pipeline build with structured predicates.
 
 Run with:  python examples/mimic_clinical_analysis.py
 """

@@ -3,7 +3,7 @@
 The catalog knows every registered data-processing engine and hardware
 accelerator, which data model each engine speaks, and (through the engines'
 own statistics) roughly how much data each holds.  The compiler's frontend
-uses it to bind fragments to engines; the placement pass and the optimizer
+uses it to bind operators to engines; the placement pass and the optimizer
 use it to enumerate offload targets; the executor uses it to find the engine
 or device an operator was bound to.
 """
@@ -16,21 +16,17 @@ from repro.accelerators.base import Accelerator
 from repro.exceptions import CatalogError
 from repro.stores.base import DataModel, Engine
 
-#: Fragment paradigm -> data model of the engine expected to run it.
-_PARADIGM_MODELS: dict[str, DataModel] = {
-    "sql": DataModel.RELATIONAL,
-    "join": DataModel.RELATIONAL,
-    "kv_lookup": DataModel.KEY_VALUE,
-    "timeseries_summary": DataModel.TIMESERIES,
-    "window_aggregate": DataModel.TIMESERIES,
-    "graph_query": DataModel.GRAPH,
-    "text_search": DataModel.DOCUMENT,
-    "text_features": DataModel.DOCUMENT,
-    "feature_matrix": DataModel.TENSOR,
-    "train": DataModel.TENSOR,
-    "predict": DataModel.TENSOR,
-    "kmeans": DataModel.TENSOR,
-    "python": DataModel.RELATIONAL,
+#: Operator kind -> data model of the engine that runs it when none is named.
+KIND_MODELS: dict[str, DataModel] = {
+    **dict.fromkeys(("scan", "index_seek", "filter", "project", "aggregate", "sort",
+                     "limit", "top_k", "union", "materialize", "join", "python_udf"),
+                    DataModel.RELATIONAL),
+    **dict.fromkeys(("kv_get", "kv_range"), DataModel.KEY_VALUE),
+    **dict.fromkeys(("ts_range", "window_aggregate", "ts_summarize"), DataModel.TIMESERIES),
+    **dict.fromkeys(("graph_nodes", "shortest_path", "neighborhood", "graph_match"),
+                    DataModel.GRAPH),
+    **dict.fromkeys(("text_search", "keyword_features"), DataModel.DOCUMENT),
+    **dict.fromkeys(("feature_matrix", "train", "predict", "kmeans"), DataModel.TENSOR),
 }
 
 
@@ -81,20 +77,15 @@ class Catalog:
         """Engines speaking the given data model."""
         return [e for e in self._engines.values() if e.data_model is model]
 
-    def default_engine_for(self, paradigm: str) -> Engine:
-        """The engine a fragment of ``paradigm`` is bound to when none is named.
+    def default_engine_for(self, model: DataModel) -> Engine:
+        """The engine an operator needing ``model`` is bound to when none is named.
 
-        The first registered engine with the paradigm's expected data model
-        wins; a :class:`CatalogError` is raised when none exists.
+        The first registered engine speaking the model wins; a
+        :class:`CatalogError` is raised when none exists.
         """
-        model = _PARADIGM_MODELS.get(paradigm)
-        if model is None:
-            raise CatalogError(f"no default data model known for paradigm {paradigm!r}")
         candidates = self.engines_with_model(model)
         if not candidates:
-            raise CatalogError(
-                f"no registered engine speaks {model.value!r} (needed by {paradigm!r})"
-            )
+            raise CatalogError(f"no registered engine speaks {model.value!r}")
         return candidates[0]
 
     # -- accelerator lookup ---------------------------------------------------------------
@@ -109,10 +100,6 @@ class Catalog:
     def accelerators(self) -> list[Accelerator]:
         """All registered accelerators."""
         return list(self._accelerators.values())
-
-    def has_accelerators(self) -> bool:
-        """Whether any accelerator is registered."""
-        return bool(self._accelerators)
 
     # -- statistics -------------------------------------------------------------------------
 

@@ -5,7 +5,7 @@ deployment.  It separates *plan construction* from *execution* the way
 relation-tree libraries separate building an expression from handing it to
 an engine:
 
-* :meth:`Session.prepare` compiles a :class:`HeterogeneousProgram` once and
+* :meth:`Session.prepare` compiles a :class:`DataflowProgram` once and
   caches the plan in the session's LRU :class:`~repro.client.cache.PlanCache`
   (keyed by program fingerprint + mode + compiler options + deployment
   generation).
@@ -31,9 +31,9 @@ from repro.compiler.passes.pushdown import BIND_ACCESS_PATH, derive_access_path
 from repro.compiler.pipeline import CompilerOptions
 from repro.eide.dataflow import DataflowProgram
 from repro.eide.expressions import bind_params
-from repro.eide.program import HeterogeneousProgram, Param
 from repro.exceptions import ConfigurationError, ExecutionError
 from repro.ir.graph import IRGraph
+from repro.ir.nodes import Param
 from repro.stores.relational.expressions import Expression
 from repro.middleware.executor import Executor
 from repro.middleware.migration import DataMigrator
@@ -41,10 +41,6 @@ from repro.client.cache import CachedPlan, PlanCache, ScanSnapshot
 
 if TYPE_CHECKING:  # avoid a circular import; the system creates sessions
     from repro.core.system import ExecutionResult, ModePlan, PolystorePlusPlus
-
-#: Programs sessions accept: the legacy fragment builder or a dataflow program.
-Program = HeterogeneousProgram | DataflowProgram
-
 
 def _resolve_token(deadline_s: float | None,
                    cancellation: CancellationToken | None
@@ -98,7 +94,7 @@ class PreparedProgram:
     (and, for pure subtrees, engine reads) across many :meth:`run` calls.
     """
 
-    def __init__(self, session: "Session", program: "Program",
+    def __init__(self, session: "Session", program: DataflowProgram,
                  plan: "ModePlan", entry: CachedPlan,
                  options: CompilerOptions | None = None) -> None:
         self._session = session
@@ -112,7 +108,7 @@ class PreparedProgram:
     # -- introspection -------------------------------------------------------------------
 
     @property
-    def program(self) -> "Program":
+    def program(self) -> DataflowProgram:
         """The source program (frozen if prepared with ``freeze=True``)."""
         return self._program
 
@@ -144,21 +140,6 @@ class PreparedProgram:
     def parameters(self) -> dict[str, Param]:
         """Declared runtime parameters (name -> placeholder)."""
         return dict(self._entry.declared_params)
-
-    def explain(self) -> str:
-        """The staged physical plan plus cache/pin status, for humans."""
-        entry = self._entry
-        lines = [
-            f"PreparedProgram({self._program.name!r}, mode={self.mode!r}, "
-            f"fingerprint={entry.fingerprint[:12]}...)",
-            f"  compile_time_s: {entry.compilation.compile_time_s:.6f}"
-            f" (cache hits: {entry.hits})",
-            f"  pinned scans: {entry.snapshot.pinned}/{entry.snapshot.pinnable}",
-        ]
-        if entry.declared_params:
-            lines.append("  parameters: " + ", ".join(sorted(entry.declared_params)))
-        lines.append(entry.compilation.graph.render())
-        return "\n".join(lines)
 
     # -- execution -----------------------------------------------------------------------
 
@@ -304,7 +285,7 @@ class Session:
 
     # -- preparation ---------------------------------------------------------------------
 
-    def prepare(self, program: "Program", *, mode: str = "polystore++",
+    def prepare(self, program: DataflowProgram, *, mode: str = "polystore++",
                 options: CompilerOptions | None = None,
                 freeze: bool = True) -> PreparedProgram:
         """Compile ``program`` (or reuse a cached plan) for repeated execution.
@@ -338,7 +319,7 @@ class Session:
         return (fingerprint, plan.mode, plan.compile_options,
                 self.system.plan_generation)
 
-    def _lookup_or_compile(self, program: "Program",
+    def _lookup_or_compile(self, program: DataflowProgram,
                            plan: "ModePlan") -> CachedPlan:
         obs = self.system.obs
         fingerprint = program.fingerprint()
@@ -368,7 +349,7 @@ class Session:
             self.plan_cache.put(key, entry)
             return entry
 
-    def _fresh_entry(self, program: "Program", plan: "ModePlan",
+    def _fresh_entry(self, program: DataflowProgram, plan: "ModePlan",
                      entry: CachedPlan, options: CompilerOptions | None
                      ) -> tuple["ModePlan", CachedPlan, bool]:
         """Revalidate a prepared program's plan + entry against the deployment.
@@ -377,8 +358,8 @@ class Session:
         execution mode is re-resolved (migration strategy and serializer may
         have changed) and the plan recompiled (through the cache) against the
         new deployment.  The program fingerprint is re-checked on every run,
-        so even an end-run around :meth:`HeterogeneousProgram.freeze` (for
-        example mutating ``fragment().params`` in place) can never replay a
+        so even an end-run around :meth:`DataflowProgram.freeze` (for
+        example mutating a node's ``params`` in place) can never replay a
         stale plan — the changed program simply recompiles.
 
         With the deployment unchanged, the entry is additionally checked for
@@ -422,7 +403,7 @@ class Session:
                 return True
         return False
 
-    def _reoptimize_if_stale(self, program: "Program", plan: "ModePlan",
+    def _reoptimize_if_stale(self, program: DataflowProgram, plan: "ModePlan",
                              entry: CachedPlan) -> CachedPlan:
         """Age a drifted plan: re-compile with fed-back statistics.
 
@@ -475,7 +456,7 @@ class Session:
 
     # -- one-shot execution --------------------------------------------------------------
 
-    def execute(self, program: "Program", *, mode: str = "polystore++",
+    def execute(self, program: DataflowProgram, *, mode: str = "polystore++",
                 options: CompilerOptions | None = None,
                 deadline_s: float | None = None,
                 cancellation: CancellationToken | None = None
@@ -501,7 +482,7 @@ class Session:
 
     # -- concurrent execution ------------------------------------------------------------
 
-    def submit(self, item: "Program | PreparedProgram", *,
+    def submit(self, item: "DataflowProgram | PreparedProgram", *,
                mode: str = "polystore++", options: CompilerOptions | None = None,
                **run_kwargs: Any) -> "Future[ExecutionResult]":
         """Schedule one execution on the session's worker pool.
@@ -519,7 +500,7 @@ class Session:
             self._submitted += 1
         return self._worker_pool().submit(prepared.run, **run_kwargs)
 
-    def run_batch(self, items: "Iterable[Program | PreparedProgram]", *,
+    def run_batch(self, items: "Iterable[DataflowProgram | PreparedProgram]", *,
                   mode: str = "polystore++",
                   options: CompilerOptions | None = None,
                   **run_kwargs: Any) -> list["ExecutionResult"]:

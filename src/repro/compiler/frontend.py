@@ -1,13 +1,9 @@
 """Compiler frontend: lower a program's dataflow trees to the IR.
 
-Both program flavours take the same path: a legacy
-:class:`~repro.eide.program.HeterogeneousProgram` first converts into its
-canonical :class:`~repro.eide.dataflow.DataflowProgram` form (its SQL
-fragments parsed into structured plans), and a dataflow program built with
-:class:`~repro.eide.dataflow.Dataset` handles *is already* that form.  The
-trees are value-semantics IR operators, so lowering is a structural walk:
-shared subtrees (datasets feeding several consumers, legacy fragments
-referenced by several fragments) lower once.
+A :class:`~repro.eide.dataflow.DataflowProgram` is a set of value-semantics
+IR operator trees (SQL leaves are parsed into scan/filter/... nodes when the
+dataset is built), so lowering is a structural walk: shared subtrees
+(datasets feeding several consumers) lower once.
 
 After lowering, :func:`insert_migrations` adds explicit ``migrate``
 operators on every cross-engine data-flow edge — the data-movement operators
@@ -16,19 +12,11 @@ the paper's Data Migrator executes and Polystore++ accelerates (§III-A-3).
 
 from __future__ import annotations
 
-from repro.catalog import Catalog
-from repro.eide.dataflow import (
-    KIND_PARADIGMS,
-    DataflowNode,
-    DataflowProgram,
-)
-from repro.eide.program import HeterogeneousProgram
+from repro.catalog import KIND_MODELS, Catalog
+from repro.eide.dataflow import DataflowNode, DataflowProgram
 from repro.exceptions import CompilationError
 from repro.ir.graph import IRGraph
 from repro.ir.nodes import Operator
-
-#: Programs the frontend accepts.
-Program = HeterogeneousProgram | DataflowProgram
 
 
 class Frontend:
@@ -37,14 +25,12 @@ class Frontend:
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
 
-    def lower(self, program: Program) -> IRGraph:
+    def lower(self, program: DataflowProgram) -> IRGraph:
         """Lower every output tree, wire shared subtrees, insert migrations."""
-        flow = (program if isinstance(program, DataflowProgram)
-                else program.to_dataflow())
-        graph = IRGraph(flow.name)
-        labels = _effective_labels(flow)
+        graph = IRGraph(program.name)
+        labels = _effective_labels(program)
         lowered: dict[int, str] = {}
-        for name, root in flow.output_items():
+        for name, root in program.output_items():
             graph.mark_output(self._lower_node(graph, root, labels, lowered))
         insert_migrations(graph)
         return graph
@@ -73,18 +59,18 @@ class Frontend:
                     f"{node.engine!r}"
                 )
             return node.engine
-        paradigm = KIND_PARADIGMS.get(node.kind)
-        if paradigm is None:
+        model = KIND_MODELS.get(node.kind)
+        if model is None:
             raise CompilationError(
                 f"no default engine rule for operator kind {node.kind!r}; "
                 f"bind it to an engine explicitly"
             )
-        return self.catalog.default_engine_for(paradigm).name
+        return self.catalog.default_engine_for(model).name
 
 
 def _effective_labels(flow: DataflowProgram) -> dict[int, str]:
     """Fragment labels per node: explicit labels flow down to unlabeled
-    children (as legacy fragments named their whole subtree), first label
+    children (a ``.named()`` SQL leaf names its whole subtree), first label
     wins for shared nodes.  Computed here rather than written onto the
     trees, so one dataset object may appear in several programs — and each
     output *root* is forced to its program-level output name, which must win

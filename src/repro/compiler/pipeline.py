@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from repro.accelerators.simulator import OffloadPlanner, PlacementDecision
 from repro.catalog import Catalog
 from repro.compiler.annotate import annotate_graph, total_estimated_bytes
-from repro.compiler.frontend import Frontend, Program
+from repro.compiler.frontend import Frontend
 from repro.compiler.passes import (
     absorb_into_leaves,
     choose_join_algorithms,
@@ -27,6 +27,7 @@ from repro.compiler.passes import (
     reorder_joins,
 )
 from repro.compiler.passes.placement import place_accelerators
+from repro.eide.dataflow import DataflowProgram
 from repro.ir.graph import IRGraph
 from repro.ir.validation import assert_valid
 
@@ -109,7 +110,7 @@ class Compiler:
         self.stats = stats
         self.frontend = Frontend(catalog)
 
-    def compile(self, program: Program,
+    def compile(self, program: DataflowProgram,
                 options: CompilerOptions | None = None) -> CompilationResult:
         """Run the full pipeline on ``program``."""
         started = time.perf_counter()
@@ -128,19 +129,6 @@ class Compiler:
         assert_valid(graph)
         result.plan_fingerprint = _plan_fingerprint(graph)
         result.compile_time_s = time.perf_counter() - started
-        return result
-
-    def optimize_graph(self, graph: IRGraph,
-                       options: CompilerOptions | None = None) -> CompilationResult:
-        """Apply passes to an already-lowered graph (used by tests and benches)."""
-        opts = options if options is not None else self.options
-        annotate_graph(graph, self.catalog, self.stats)
-        result = CompilationResult(graph=graph,
-                                   estimated_bytes_before=total_estimated_bytes(graph))
-        self._optimize(result, opts)
-        annotate_graph(graph, self.catalog, self.stats)
-        result.estimated_bytes_after = total_estimated_bytes(graph)
-        result.plan_fingerprint = _plan_fingerprint(graph)
         return result
 
     def _optimize(self, result: CompilationResult, opts: CompilerOptions) -> None:

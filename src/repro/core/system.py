@@ -19,9 +19,8 @@ from repro.accelerators.base import Accelerator, HostCPU
 from repro.accelerators.kernels import KernelRegistry
 from repro.accelerators.simulator import Objective, OffloadPlanner
 from repro.catalog import Catalog
-from repro.compiler.frontend import Program
 from repro.compiler.pipeline import CompilationResult, Compiler, CompilerOptions
-from repro.eide.dataflow import DatasetSource
+from repro.eide.dataflow import DataflowProgram, DatasetSource
 from repro.exceptions import ConfigurationError, ExecutionError
 from repro.middleware.executor import ExecutionReport
 from repro.middleware.feedback import RuntimeStats
@@ -518,7 +517,7 @@ class PolystorePlusPlus:
                               objective=self.config.objective,
                               host_cores=self.config.host_cores)
 
-    def compile(self, program: Program, *,
+    def compile(self, program: DataflowProgram, *,
                 accelerated: bool = True,
                 options: CompilerOptions | None = None) -> CompilationResult:
         """Compile a heterogeneous program against this deployment.
@@ -629,7 +628,7 @@ class PolystorePlusPlus:
                 self._default_session = self.session(name="default")
             return self._default_session
 
-    def execute(self, program: Program, *, mode: str = "polystore++",
+    def execute(self, program: DataflowProgram, *, mode: str = "polystore++",
                 options: CompilerOptions | None = None) -> ExecutionResult:
         """Compile (or reuse a cached plan) and run a program once.
 
@@ -639,7 +638,7 @@ class PolystorePlusPlus:
         """
         return self.default_session().execute(program, mode=mode, options=options)
 
-    def compare_modes(self, program: Program,
+    def compare_modes(self, program: DataflowProgram,
                       modes: tuple[str, ...] = EXECUTION_MODES
                       ) -> dict[str, ExecutionResult]:
         """Run the same program under several modes (experiments E7/E8/E9)."""

@@ -106,11 +106,6 @@ class Table:
         """Number of rows."""
         return len(self._rows)
 
-    @property
-    def num_columns(self) -> int:
-        """Number of columns."""
-        return len(self._schema)
-
     def column(self, name: str) -> list[Any]:
         """All values of a single column, in row order."""
         idx = self._schema.index_of(name)
@@ -137,10 +132,6 @@ class Table:
         if validate:
             self._schema.validate_row(row_t)
         self._rows.append(row_t)
-
-    def append_dict(self, row: Mapping[str, Any], *, validate: bool = False) -> None:
-        """Append a row given as a dictionary."""
-        self.append(tuple(row.get(name) for name in self._schema.names), validate=validate)
 
     def extend(self, rows: Iterable[Sequence[Any]]) -> None:
         """Append many positional rows."""

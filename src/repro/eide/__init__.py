@@ -1,13 +1,10 @@
 """EIDE: the expressive programming environment for heterogeneous programs.
 
-Two ways to author a program:
-
-* the **dataflow API** (:mod:`repro.eide.dataflow`) — composable
-  :class:`Dataset` expression trees with structured predicates
-  (``dataset("db").table("orders").filter(col("age") > 60)``), and
-* the **legacy fragment builder** (:class:`HeterogeneousProgram`) — a thin
-  compatibility shim that converts into the same dataflow form, so both
-  flavours fingerprint, cache and lower identically.
+A program is a :class:`DataflowProgram` of composable :class:`Dataset`
+expression trees (:mod:`repro.eide.dataflow`) with structured predicates
+(``dataset("db").table("orders").filter(col("age") > 60)``).  SQL text is a
+dataset leaf too: ``dataset("db").sql("SELECT ...")`` parses the query into
+the same trees when the dataset is built.
 """
 
 from repro.eide.dataflow import (
@@ -16,24 +13,19 @@ from repro.eide.dataflow import (
     Dataset,
     DatasetSource,
     dataset,
-    to_dataflow,
     view_dataset,
 )
 from repro.eide.expressions import Col, canonicalize, col, lit
 from repro.eide.natural_language import compile_natural_language, recognize_intent
-from repro.eide.program import PARADIGMS, HeterogeneousProgram, Param, SubProgram
+from repro.ir.nodes import Param
 
 __all__ = [
-    "HeterogeneousProgram",
-    "SubProgram",
     "Param",
-    "PARADIGMS",
     "DataflowProgram",
     "Dataset",
     "DatasetSource",
     "DataflowNode",
     "dataset",
-    "to_dataflow",
     "view_dataset",
     "col",
     "lit",

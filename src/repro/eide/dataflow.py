@@ -14,10 +14,8 @@ The tree vocabulary is deliberately the IR operator vocabulary
 (:data:`repro.ir.nodes.OPERATOR_KINDS`): a :class:`DataflowNode` is a
 value-semantics IR operator, so lowering is a structural walk and the
 compiler's passes see *structured* predicate payloads instead of opaque SQL.
-The legacy :class:`~repro.eide.program.HeterogeneousProgram` converts into
-the same trees (:func:`to_dataflow`, parsing its SQL fragments once), which
-makes it a thin compatibility shim: equivalent old- and new-API programs
-produce identical fingerprints, identical IR and share one plan-cache entry.
+SQL text is one more leaf: ``dataset("db").sql("SELECT ...")`` parses the
+query once, when the dataset is built, into the same trees.
 """
 
 from __future__ import annotations
@@ -26,10 +24,22 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
+from repro.catalog import KIND_MODELS
 from repro.eide.expressions import as_predicate, find_params
-from repro.eide.program import HeterogeneousProgram, Param, canonical_value
 from repro.exceptions import CompilationError
+from repro.ir.nodes import Param, canonical_value
 from repro.stores.relational.operators import AggregateSpec
+from repro.stores.relational.planner import (
+    AggregatePlan,
+    FilterPlan,
+    JoinPlan,
+    LimitPlan,
+    ProjectPlan,
+    ScanPlan,
+    SortPlan,
+    build_plan,
+)
+from repro.stores.relational.sql import parse_select
 
 #: Dataflow node kinds that read engine state (no dataflow inputs).
 SOURCE_KINDS = frozenset({
@@ -38,34 +48,14 @@ SOURCE_KINDS = frozenset({
     "graph_match", "text_search", "keyword_features",
 })
 
-#: Node kind -> data model family, used to resolve default engines when a
-#: dataset was built without naming one (mirrors the legacy paradigm table).
-KIND_PARADIGMS: dict[str, str] = {
-    "scan": "sql", "index_seek": "sql", "filter": "sql", "project": "sql",
-    "aggregate": "sql", "sort": "sql", "limit": "sql", "top_k": "sql",
-    "union": "sql", "materialize": "sql",
-    "join": "join",
-    "kv_get": "kv_lookup", "kv_range": "kv_lookup",
-    "ts_range": "window_aggregate", "window_aggregate": "window_aggregate",
-    "ts_summarize": "timeseries_summary",
-    "graph_nodes": "graph_query", "shortest_path": "graph_query",
-    "neighborhood": "graph_query", "graph_match": "graph_query",
-    "text_search": "text_search", "keyword_features": "text_features",
-    "feature_matrix": "feature_matrix", "train": "train",
-    "predict": "predict", "kmeans": "kmeans",
-    "python_udf": "python",
-}
-
-
 @dataclass(eq=False)
 class DataflowNode:
     """One value-semantics operator of a dataflow expression tree.
 
     Nodes are shared by reference when a :class:`Dataset` feeds several
-    consumers (the subtree then lowers once, like a named legacy fragment).
-    ``label`` carries the fragment name for reports and output naming; it is
-    excluded from the canonical form so renaming intermediates never changes
-    a fingerprint.
+    consumers (the subtree then lowers once).  ``label`` carries the fragment
+    name for reports and output naming; it is excluded from the canonical
+    form so renaming intermediates never changes a fingerprint.
     """
 
     kind: str
@@ -125,6 +115,9 @@ class Dataset:
              left_key: str | None = None, right_key: str | None = None,
              how: str = "inner", engine: str | None = None) -> "Dataset":
         """Equi-join with another dataset on a key column."""
+        if not isinstance(other, Dataset):
+            raise CompilationError(
+                f"join needs a Dataset to join with, got {type(other).__name__}")
         if on is not None:
             left_key = right_key = on
         if left_key is None or right_key is None:
@@ -238,9 +231,8 @@ class Dataset:
     def _chain(self, kind: str, params: dict[str, Any], *,
                engine: str | None = None) -> "Dataset":
         # Row-shaped combinators inherit the source engine unless overridden,
-        # mirroring how a legacy SQL fragment bound its whole plan to one
-        # engine; ML heads pass an explicit engine (or None for the default
-        # tensor engine).
+        # as a SQL leaf binds its whole plan to one engine; ML heads pass an
+        # explicit engine (or None for the default tensor engine).
         if engine is None and kind not in ("feature_matrix", "train", "predict",
                                            "kmeans"):
             engine = self.node.engine
@@ -274,6 +266,10 @@ class DatasetSource:
         self.engine = engine
 
     # -- relational --------------------------------------------------------------------
+
+    def sql(self, query: str) -> Dataset:
+        """A SQL ``SELECT``, parsed now into the equivalent scan/filter/... tree."""
+        return Dataset(_sql_to_node(query, self.engine))
 
     def table(self, name: str, columns: Sequence[str] | None = None) -> Dataset:
         """A relational table scan."""
@@ -407,19 +403,19 @@ def resolve_node_engine(node: DataflowNode, catalog: Any) -> str | None:
     """The engine a dataflow node would execute on, or ``None``.
 
     Mirrors the frontend's default-engine rule without raising: explicit
-    bindings win, otherwise the node's paradigm resolves through the
+    bindings win, otherwise the node kind's data model resolves through the
     catalog.  Shared by the view registry (which engines to subscribe to)
     and the incremental compiler (which engine a delta source reads) so the
     two can never disagree.
     """
     if node.engine is not None:
         return node.engine
-    paradigm = KIND_PARADIGMS.get(node.kind)
-    if paradigm is None:
+    model = KIND_MODELS.get(node.kind)
+    if model is None:
         return None
     try:
-        return catalog.default_engine_for(paradigm).name
-    except Exception:  # noqa: BLE001 - no engine registered for the paradigm
+        return catalog.default_engine_for(model).name
+    except Exception:  # noqa: BLE001 - no engine registered for the model
         return None
 
 
@@ -436,15 +432,7 @@ def view_dataset(name: str) -> Dataset:
 
 
 class DataflowProgram:
-    """A named set of output datasets — the unit sessions prepare and run.
-
-    Implements the same protocol as the legacy
-    :class:`~repro.eide.program.HeterogeneousProgram` (``name`` /
-    ``fingerprint`` / ``freeze`` / ``declared_params``), so
-    :meth:`~repro.client.Session.prepare`,
-    :meth:`~repro.core.system.PolystorePlusPlus.execute` and the plan cache
-    accept either interchangeably.
-    """
+    """A named set of output datasets — the unit sessions prepare and run."""
 
     def __init__(self, name: str) -> None:
         if not name:
@@ -495,9 +483,9 @@ class DataflowProgram:
     def fingerprint(self) -> str:
         """Deterministic identity hash over the canonical dataflow form.
 
-        Structurally equivalent programs — whether built through this API or
-        the legacy builder — produce the same fingerprint and therefore share
-        one plan-cache entry.
+        Structurally equivalent programs produce the same fingerprint and
+        therefore share one plan-cache entry.  ``python_udf`` callables are
+        hashed by identity — see :func:`~repro.ir.nodes.canonical_value`.
         """
         if not self._outputs:
             raise CompilationError(f"program {self.name!r} declares no outputs")
@@ -555,101 +543,10 @@ def fingerprint_outputs(name: str, outputs: dict[str, DataflowNode]) -> str:
     return digest.hexdigest()
 
 
-# -- legacy conversion ------------------------------------------------------------------
-
-
-def to_dataflow(program: HeterogeneousProgram) -> DataflowProgram:
-    """Convert a legacy fragment program into its canonical dataflow form.
-
-    SQL fragments are parsed here (once per conversion) into the same
-    structured plans the new API builds directly, so the fingerprint and the
-    lowered IR are identical whichever API authored the program.
-    """
-    flow = DataflowProgram(program.name)
-    trees: dict[str, DataflowNode] = {}
-    for fragment in program.fragments:
-        node = _fragment_to_node(fragment, trees)
-        for member in node.walk():
-            if member.label is None:
-                member.label = fragment.name
-        trees[fragment.name] = node
-    for output in program.outputs:
-        flow.output(output, Dataset(trees[output]))
-    return flow
-
-
-def _fragment_to_node(fragment: Any, trees: dict[str, DataflowNode]) -> DataflowNode:
-    paradigm = fragment.paradigm
-    params = fragment.params
-    engine = fragment.engine
-    inputs = tuple(trees[name] for name in fragment.inputs)
-    if paradigm == "sql":
-        return _sql_to_node(fragment, engine)
-    if paradigm == "kv_lookup":
-        return DataflowNode("kv_get", {"keys": params.get("keys"),
-                                       "key_prefix": params.get("key_prefix")},
-                            inputs, engine)
-    if paradigm == "timeseries_summary":
-        return DataflowNode("ts_summarize", {
-            "series_prefix": params["series_prefix"],
-            "start": params.get("start"), "end": params.get("end"),
-        }, inputs, engine)
-    if paradigm == "window_aggregate":
-        return DataflowNode("window_aggregate", {
-            "series": params["series"], "window_s": params["window_s"],
-            "aggregation": params.get("aggregation", "mean"),
-        }, inputs, engine)
-    if paradigm == "graph_query":
-        return _graph_to_node(fragment, engine, inputs)
-    if paradigm == "text_search":
-        return DataflowNode("text_search", {
-            "query": params["query"], "top_k": params.get("top_k", 10),
-        }, inputs, engine)
-    if paradigm == "text_features":
-        return DataflowNode("keyword_features", {
-            "keywords": list(params["keywords"]),
-            "doc_prefix": params.get("doc_prefix"),
-            "id_column": params.get("id_column", "doc_id"),
-        }, inputs, engine)
-    if paradigm == "join":
-        return DataflowNode("join", {
-            "left_key": params["left_key"], "right_key": params["right_key"],
-            "how": params.get("how", "inner"),
-        }, inputs, engine)
-    if paradigm == "feature_matrix":
-        return DataflowNode("feature_matrix", {
-            "feature_columns": params.get("feature_columns"),
-            "label_column": params.get("label_column"),
-        }, inputs, engine)
-    if paradigm == "train":
-        return DataflowNode("train", dict(params), inputs, engine)
-    if paradigm == "predict":
-        return DataflowNode("predict", {"model_name": params["model_name"]},
-                            inputs, engine)
-    if paradigm == "kmeans":
-        return DataflowNode("kmeans", {"n_clusters": params["n_clusters"]},
-                            inputs, engine)
-    if paradigm == "python":
-        return DataflowNode("python_udf", {"fn": params["fn"]}, inputs, engine)
-    raise CompilationError(f"cannot convert paradigm {paradigm!r} to dataflow")
-
-
-def _sql_to_node(fragment: Any, engine: str | None) -> DataflowNode:
-    from repro.stores.relational.planner import (
-        AggregatePlan,
-        FilterPlan,
-        JoinPlan,
-        LimitPlan,
-        ProjectPlan,
-        ScanPlan,
-        SortPlan,
-        build_plan,
-    )
-    from repro.stores.relational.sql import parse_select
-
-    query = fragment.params.get("query")
+def _sql_to_node(query: str, engine: str | None) -> DataflowNode:
+    """Parse a ``SELECT`` and convert its logical plan into dataflow nodes."""
     if not query:
-        raise CompilationError(f"SQL fragment {fragment.name!r} has no query text")
+        raise CompilationError("sql needs query text")
     plan = build_plan(parse_select(query))
 
     def convert(plan: Any) -> DataflowNode:
@@ -683,21 +580,3 @@ def _sql_to_node(fragment: Any, engine: str | None) -> DataflowNode:
         raise CompilationError(f"cannot lower plan node {type(plan).__name__}")
 
     return convert(plan)
-
-
-def _graph_to_node(fragment: Any, engine: str | None,
-                   inputs: tuple[DataflowNode, ...]) -> DataflowNode:
-    operation = fragment.params.get("operation")
-    params = {k: v for k, v in fragment.params.items() if k != "operation"}
-    kind_by_operation = {
-        "nodes": "graph_nodes",
-        "shortest_path": "shortest_path",
-        "neighborhood": "neighborhood",
-        "match": "graph_match",
-    }
-    kind = kind_by_operation.get(operation or "")
-    if kind is None:
-        raise CompilationError(
-            f"unknown graph operation {operation!r} in fragment {fragment.name!r}"
-        )
-    return DataflowNode(kind, params, inputs, engine)

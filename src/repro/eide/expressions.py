@@ -17,7 +17,7 @@ This module adds the three things the engine layer does not provide:
   AND/OR chains are flattened and commutative operands sorted, so
   ``a & b`` and ``b & a`` hash identically and hit the same plan-cache
   entry.
-* :class:`~repro.eide.program.Param` support — placeholders may appear as
+* :class:`~repro.ir.nodes.Param` support — placeholders may appear as
   comparison operands (``col("age") > Param("min_age", 60)``);
   :func:`find_params` discovers them for ``Session.prepare`` and
   :func:`bind_params` substitutes bound values on each run.
@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.eide.program import Param
 from repro.exceptions import CompilationError
+from repro.ir.nodes import Param
 from repro.stores.relational.expressions import (
     Arithmetic,
     BooleanOp,

@@ -17,38 +17,12 @@ plan (and only then drop the old plan's pinned scans).
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Mapping
 
 from repro.ir.graph import IRGraph
-from repro.ir.nodes import Operator
+from repro.ir.nodes import Operator, canonical_value
 
 #: Annotation key the graph fingerprinting pass writes per node.
 FINGERPRINT_KEY = "fingerprint"
-
-
-def _canonical(value: Any) -> str:
-    """Deterministic string form of an operator parameter value.
-
-    Mirrors :func:`repro.eide.program.canonical_value` (kept local so the IR
-    layer does not import the EIDE): containers recurse, dictionaries sort by
-    key, callables are identified by identity, and everything else falls back
-    to its (deterministic dataclass) ``repr``.
-    """
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in value) + "]"
-    if isinstance(value, (set, frozenset)):
-        return "{" + ",".join(sorted(_canonical(v) for v in value)) + "}"
-    if isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: repr(kv[0]))
-        return "{" + ",".join(f"{_canonical(k)}:{_canonical(v)}"
-                              for k, v in items) + "}"
-    if callable(value):
-        module = getattr(value, "__module__", "?")
-        qualname = getattr(value, "__qualname__", type(value).__name__)
-        return f"<callable {module}.{qualname}@{id(value):x}>"
-    return f"<{type(value).__name__}:{value!r}>"
 
 
 def operator_fingerprint(node: Operator, input_fingerprints: list[str]) -> str:
@@ -56,7 +30,7 @@ def operator_fingerprint(node: Operator, input_fingerprints: list[str]) -> str:
     digest = hashlib.sha256()
     digest.update(f"{node.kind}@{node.engine or '<unbound>'}".encode())
     digest.update(b"\x00")
-    digest.update(_canonical(node.params).encode())
+    digest.update(canonical_value(node.params).encode())
     for fingerprint in input_fingerprints:
         digest.update(b"\x1f")
         digest.update(fingerprint.encode())
@@ -120,20 +94,3 @@ def baked_estimates(graph: IRGraph) -> dict[str, int]:
         if isinstance(fingerprint, str):
             baked[fingerprint] = node.estimated_rows
     return baked
-
-
-def node_fingerprint(node: Operator) -> str | None:
-    """The annotated fingerprint of a compiled node, if present."""
-    fingerprint = node.annotations.get(FINGERPRINT_KEY)
-    return fingerprint if isinstance(fingerprint, str) else None
-
-
-def graph_fingerprints(graph: IRGraph | Mapping[str, Operator]) -> dict[str, str]:
-    """Annotated ``op_id -> fingerprint`` map of an already-compiled graph."""
-    nodes = graph.nodes() if isinstance(graph, IRGraph) else graph.values()
-    result: dict[str, str] = {}
-    for node in nodes:
-        fingerprint = node.annotations.get(FINGERPRINT_KEY)
-        if isinstance(fingerprint, str):
-            result[node.op_id] = fingerprint
-    return result

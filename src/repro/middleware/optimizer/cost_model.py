@@ -186,10 +186,6 @@ class CostModel:
             total += self.operator_cost(node).time_s
         return total
 
-    def plan_bytes_moved(self, graph: IRGraph) -> int:
-        """Total bytes crossing engine boundaries (the migrate operators)."""
-        return sum(node.estimated_bytes for node in graph.nodes_of_kind("migrate"))
-
     # -- calibration --------------------------------------------------------------------------
 
     def calibrate(self, metrics: list[OperationMetrics], *,

@@ -156,8 +156,3 @@ class RandomForestRegressor:
             raise OptimizationError("forest is not fitted")
         predictions = np.stack([tree.predict(x) for tree in self._trees])
         return predictions.std(axis=0)
-
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has been called."""
-        return bool(self._trees)

@@ -56,10 +56,6 @@ class ArrayEngine(Engine):
         """Whether an array is stored under ``name``."""
         return name in self._arrays
 
-    def list_arrays(self) -> list[str]:
-        """Names of stored arrays."""
-        return sorted(self._arrays)
-
     def shape(self, name: str) -> tuple[int, int]:
         """Shape of the named array."""
         return self._chunked(name).shape

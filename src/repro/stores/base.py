@@ -16,7 +16,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.exceptions import UnsupportedOperationError
 from repro.stores.changelog import ChangeLog
@@ -127,13 +127,6 @@ class MetricsRecorder:
     def recorded(self) -> int:
         """Operations recorded since construction (monotonic, never capped)."""
         return self._recorded
-
-    def total_time(self, operation: str | None = None) -> float:
-        """Total wall time across retained records, optionally filtered by operation."""
-        return sum(
-            r.wall_time_s for r in self.records
-            if operation is None or r.operation == operation
-        )
 
     def clear(self) -> None:
         """Drop all retained metrics."""
@@ -289,11 +282,3 @@ class Engine(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def iter_batches(rows: list, batch_size: int) -> Iterator[list]:
-    """Yield ``rows`` in contiguous batches of at most ``batch_size``."""
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    for start in range(0, len(rows), batch_size):
-        yield rows[start:start + batch_size]

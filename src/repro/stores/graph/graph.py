@@ -110,13 +110,6 @@ class PropertyGraph:
             return list(edges)
         return [e for e in edges if e.label == label]
 
-    def incoming(self, node_id: str, label: str | None = None) -> list[Edge]:
-        """Incoming edges of a node, optionally filtered by label."""
-        edges = self._incoming.get(node_id, [])
-        if label is None:
-            return list(edges)
-        return [e for e in edges if e.label == label]
-
     def neighbors(self, node_id: str, label: str | None = None) -> list[str]:
         """Targets of outgoing edges from a node."""
         return [edge.target for edge in self.outgoing(node_id, label)]

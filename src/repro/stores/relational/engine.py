@@ -319,10 +319,6 @@ class RelationalEngine(Engine):
         plan = build_plan(statement)
         return self.execute_plan(plan)
 
-    def plan_sql(self, sql: str) -> LogicalPlan:
-        """Parse and plan a SELECT statement without executing it."""
-        return build_plan(parse_select(sql))
-
     def execute_plan(self, plan: LogicalPlan) -> Table:
         """Execute a logical plan and return the result table."""
         with self.metrics.timed(self.name, "execute_plan", plan=plan.describe()) as timer:

@@ -46,11 +46,6 @@ class HashIndex:
     def __contains__(self, key: object) -> bool:
         return key in self._buckets
 
-    @property
-    def num_keys(self) -> int:
-        """Number of distinct keys."""
-        return len(self._buckets)
-
 
 class SortedIndex:
     """Ordered index supporting equality and range lookups.

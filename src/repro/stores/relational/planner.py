@@ -222,17 +222,3 @@ def _strip_qualifier(name: str | None) -> str:
     if name is None:
         raise PlanError("expected a column name, found None")
     return name.split(".")[-1]
-
-
-def estimate_output_columns(statement: SelectStatement) -> list[str]:
-    """Names of the columns a statement will produce (best effort for ``*``)."""
-    if statement.select_star:
-        return []
-    names = []
-    for item in statement.items:
-        names.append(item.output_name)
-    for key in statement.group_by:
-        stripped = _strip_qualifier(key)
-        if stripped not in names:
-            names.insert(0, stripped)
-    return names

@@ -34,14 +34,6 @@ class InvertedIndex:
         """Documents containing ``term``."""
         return set(self._postings.get(term.lower(), {}))
 
-    def term_frequency(self, term: str, doc_id: str) -> int:
-        """Occurrences of ``term`` in ``doc_id``."""
-        return self._postings.get(term.lower(), {}).get(doc_id, 0)
-
-    def document_frequency(self, term: str) -> int:
-        """Number of documents containing ``term``."""
-        return len(self._postings.get(term.lower(), {}))
-
     @property
     def num_documents(self) -> int:
         """Number of indexed documents."""

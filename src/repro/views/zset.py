@@ -48,14 +48,6 @@ class ZSet:
             zset.add(freeze_row(row), weight)
         return zset
 
-    @classmethod
-    def from_entries(cls, entries: Iterable[tuple[dict[str, Any], int]]) -> "ZSet":
-        """A Z-set from ``(row_dict, weight)`` pairs."""
-        zset = cls()
-        for row, weight in entries:
-            zset.add(freeze_row(row), weight)
-        return zset
-
     # -- algebra ------------------------------------------------------------------------
 
     def add(self, frozen: FrozenRow, weight: int) -> None:

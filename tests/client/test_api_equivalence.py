@@ -1,10 +1,14 @@
-"""Old-API vs new-API equivalence: fingerprints, IR, plan cache, outputs.
+"""SQL-leaf vs structured-dataset equivalence: fingerprints, IR, plan cache, outputs.
 
-For each example pipeline, the legacy ``HeterogeneousProgram`` build and the
-equivalent ``Dataset`` expression build must produce the same fingerprint
-(so they share one plan-cache entry), lower to the identical optimized IR,
-and return identical results under both the accelerated ``polystore++`` mode
-and a baseline mode.
+For each example pipeline, the build that reads through SQL text
+(``dataset(e).sql(...)``) and the equivalent build from structured
+``Dataset`` combinators must produce the same fingerprint (so they share one
+plan-cache entry), lower to the identical optimized IR, and return identical
+results under both the accelerated ``polystore++`` mode and a baseline mode.
+
+The workload builders' fingerprints are also pinned to golden values, so a
+change to SQL parsing or lowering that would move a plan-cache key or the IR
+cannot pass unnoticed.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 
 import pytest
 
-from repro import DataflowProgram, HeterogeneousProgram, col, dataset
+from repro import DataflowProgram, col, compile_natural_language, dataset
 from repro.core import build_accelerated_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.stores import (
@@ -23,8 +27,10 @@ from repro.stores import (
     TimeseriesEngine,
 )
 from repro.workloads import (
+    build_admission_history_program,
     build_mimic_program,
     build_recommendation_program,
+    build_snorkel_program,
     build_top_spenders_program,
     generate_recommendation,
     load_recommendation,
@@ -34,21 +40,17 @@ from repro.workloads import (
 # -- pipeline pairs ---------------------------------------------------------------------
 
 
-def quickstart_pair() -> tuple[HeterogeneousProgram, DataflowProgram]:
+def quickstart_pair() -> tuple[DataflowProgram, DataflowProgram]:
     """The quickstart pipeline: SQL aggregate + session features -> train."""
-    old = HeterogeneousProgram("quickstart")
-    old.sql(
-        "spend",
+    sessions = dataset("telemetry").timeseries("sessions/").named("sessions")
+    spend = dataset("ordersdb").sql(
         "SELECT customer_id, sum(amount) AS total_spend, count(*) AS n_orders, "
-        "max(returned) AS any_return FROM orders GROUP BY customer_id",
-        engine="ordersdb",
-    )
-    old.timeseries_summary("sessions", series_prefix="sessions/", engine="telemetry")
-    old.join("features", left="spend", right="sessions",
-             left_key="customer_id", right_key="pid")
-    old.train("return_model", features="features", label_column="any_return",
-              epochs=2, engine="ml")
-    old.output("return_model")
+        "max(returned) AS any_return FROM orders GROUP BY customer_id").named("spend")
+    features = spend.join(sessions, left_key="customer_id",
+                          right_key="pid").named("features")
+    from_sql = DataflowProgram("quickstart")
+    from_sql.output("return_model", features.train(
+        label_column="any_return", model_name="return_model", epochs=2, engine="ml"))
 
     spend = (dataset("ordersdb").table("orders")
              .aggregate(["customer_id"],
@@ -61,14 +63,14 @@ def quickstart_pair() -> tuple[HeterogeneousProgram, DataflowProgram]:
                           right_key="pid").named("features")
     model = features.train(label_column="any_return", model_name="return_model",
                            epochs=2, engine="ml")
-    new = DataflowProgram("quickstart")
-    new.output("return_model", model)
-    return old, new
+    structured = DataflowProgram("quickstart")
+    structured.output("return_model", model)
+    return from_sql, structured
 
 
-def recommendation_pair() -> tuple[HeterogeneousProgram, DataflowProgram]:
+def recommendation_pair() -> tuple[DataflowProgram, DataflowProgram]:
     """The Figure 1 recommendation pipeline across three stores."""
-    old = build_recommendation_program(epochs=2)
+    from_sql = build_recommendation_program(epochs=2)
 
     spend = (dataset("sales-db").table("transactions")
              .aggregate(["customer_id"],
@@ -82,27 +84,27 @@ def recommendation_pair() -> tuple[HeterogeneousProgram, DataflowProgram]:
                               right_key="customer_id").named("features")
     model = features.train(label_column="converted", model_name="offer_model",
                            epochs=2, engine="reco-ml")
-    new = DataflowProgram("next-best-offer")
-    new.output("offer_model", model)
-    return old, new
+    structured = DataflowProgram("next-best-offer")
+    structured.output("offer_model", model)
+    return from_sql, structured
 
 
-def top_spenders_pair() -> tuple[HeterogeneousProgram, DataflowProgram]:
+def top_spenders_pair() -> tuple[DataflowProgram, DataflowProgram]:
     """The reporting query: top-k customers by total spend."""
-    old = build_top_spenders_program(5)
+    from_sql = build_top_spenders_program(5)
 
     top = (dataset("sales-db").table("transactions")
            .aggregate(["customer_id"], total_spend=("sum", "amount"))
            .sort("total_spend", descending=True)
            .limit(5))
-    new = DataflowProgram("top-spenders")
-    new.output("top", top)
-    return old, new
+    structured = DataflowProgram("top-spenders")
+    structured.output("top", top)
+    return from_sql, structured
 
 
-def mimic_pair() -> tuple[HeterogeneousProgram, DataflowProgram]:
+def mimic_pair() -> tuple[DataflowProgram, DataflowProgram]:
     """The Figure 2 ICU-stay pipeline (relational + stream + text -> train)."""
-    old = build_mimic_program(min_age=40, epochs=2)
+    from_sql = build_mimic_program(min_age=40, epochs=2)
 
     admissions = (dataset("clinical-db")
                   .table("admissions")
@@ -119,9 +121,9 @@ def mimic_pair() -> tuple[HeterogeneousProgram, DataflowProgram]:
     features = clinical.join(notes, on="pid").named("features")
     model = features.train(label_column="long_stay", model_name="stay_model",
                            hidden_dims=(32, 16), epochs=2, engine="dnn-engine")
-    new = DataflowProgram("mimic-icu-stay")
-    new.output("stay_model", model)
-    return old, new
+    structured = DataflowProgram("mimic-icu-stay")
+    structured.output("stay_model", model)
+    return from_sql, structured
 
 
 # -- deployments ------------------------------------------------------------------------
@@ -183,28 +185,63 @@ def _comparable(value) -> object:
 # -- the equivalence contract -----------------------------------------------------------
 
 
+GOLDEN_FINGERPRINTS = {
+    "mimic": (build_mimic_program,
+              "fe01473181f89323c4ba7af923cb512559d6d6b2cb885d2fe33d9a8959574270"),
+    "recommendation": (
+        build_recommendation_program,
+        "555e13900589355efb0b140bdce6617cc358309e972a90595bcaba5f60e2a360"),
+    "top_spenders": (
+        build_top_spenders_program,
+        "c0aeca662d535a4ddfdd9b2162c5ec4601bc52e4d5dfe77759db98b237d9def8"),
+    "admission_history": (
+        lambda: build_admission_history_program(3),
+        "f05ca4fad7652b8d6ba83716447636ead454bd7653ca2fbd6c7dd64f8c6bcfa5"),
+    "snorkel": (build_snorkel_program,
+                "39649e88b9c38737a532ba2044af333cb25853a68cd6572433d65bb0218ddfc9"),
+    "nl_predict_stay": (
+        lambda: compile_natural_language("will the patient have a long stay"),
+        "189a8b5f78e9f5aafaf2065c29c9b56afc4bcd05373fb9953c38b314cd67b745"),
+    "nl_recommend": (
+        lambda: compile_natural_language("recommend a product"),
+        "8b232c003a0a4d6d4ffa9699f1e35236b8c386ae6d9ef45cc0d49361dcae7a22"),
+    "nl_patient_history": (
+        lambda: compile_natural_language("admission history of patient 4"),
+        "c8fc9bcf3711e63601bd544e396a890776add4db0cd3314051ac58fe33dd9107"),
+    "nl_top_customers": (
+        lambda: compile_natural_language("top 5 customers"),
+        "f962cdde92558ea50e9fa4f037c4045decbf2aab5cf853a9932f94c33888e0bb"),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(GOLDEN_FINGERPRINTS))
+def test_builder_fingerprints_are_golden(builder):
+    build, expected = GOLDEN_FINGERPRINTS[builder]
+    assert build().fingerprint() == expected
+
+
 @pytest.mark.parametrize("pipeline", sorted(PAIRS))
 def test_fingerprints_match(pipeline):
-    old, new = PAIRS[pipeline]()
-    assert old.fingerprint() == new.fingerprint()
+    from_sql, structured = PAIRS[pipeline]()
+    assert from_sql.fingerprint() == structured.fingerprint()
 
 
 @pytest.mark.parametrize("pipeline", sorted(PAIRS))
 def test_optimized_ir_is_identical(pipeline, request):
-    old, new = PAIRS[pipeline]()
+    from_sql, structured = PAIRS[pipeline]()
     system = _system_for(pipeline, request)
-    old_graph = system.compile(old).graph
-    new_graph = system.compile(new).graph
-    assert old_graph.render() == new_graph.render()
+    sql_graph = system.compile(from_sql).graph
+    structured_graph = system.compile(structured).graph
+    assert sql_graph.render() == structured_graph.render()
 
 
 @pytest.mark.parametrize("pipeline", sorted(PAIRS))
 def test_programs_share_one_plan_cache_entry(pipeline, request):
-    old, new = PAIRS[pipeline]()
+    from_sql, structured = PAIRS[pipeline]()
     system = _system_for(pipeline, request)
     with system.session(name="equivalence") as session:
-        first = session.prepare(old)
-        second = session.prepare(new)
+        first = session.prepare(from_sql)
+        second = session.prepare(structured)
         assert first.fingerprint == second.fingerprint
         stats = session.stats()["plan_cache"]
         assert stats["size"] == 1 and stats["hits"] == 1
@@ -213,16 +250,16 @@ def test_programs_share_one_plan_cache_entry(pipeline, request):
 @pytest.mark.parametrize("pipeline", sorted(PAIRS))
 @pytest.mark.parametrize("mode", ["polystore++", "cpu_polystore"])
 def test_outputs_identical_across_apis(pipeline, mode, request):
-    old, new = PAIRS[pipeline]()
+    from_sql, structured = PAIRS[pipeline]()
     system = _system_for(pipeline, request)
-    old_result = system.execute(old, mode=mode)
-    new_result = system.execute(new, mode=mode)
-    assert list(old_result.outputs) == list(new_result.outputs)
-    for name in old_result.outputs:
-        old_value = _comparable(old_result.output(name))
-        new_value = _comparable(new_result.output(name))
-        if isinstance(old_value, dict):  # model metrics
-            for metric, value in old_value.items():
-                assert math.isclose(value, new_value[metric], rel_tol=1e-9), metric
+    sql_result = system.execute(from_sql, mode=mode)
+    structured_result = system.execute(structured, mode=mode)
+    assert list(sql_result.outputs) == list(structured_result.outputs)
+    for name in sql_result.outputs:
+        sql_value = _comparable(sql_result.output(name))
+        structured_value = _comparable(structured_result.output(name))
+        if isinstance(sql_value, dict):  # model metrics
+            for metric, value in sql_value.items():
+                assert math.isclose(value, structured_value[metric], rel_tol=1e-9), metric
         else:
-            assert old_value == new_value
+            assert sql_value == structured_value

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import DataflowProgram, Dataset, col, dataset
 from repro.client import PlanCache
 from repro.core import build_accelerated_polystore
 from repro.datamodel import DataType, Table, make_schema
@@ -25,18 +26,19 @@ def _small_system():
 
 
 def _orders_program():
-    from repro import HeterogeneousProgram
-
-    program = HeterogeneousProgram("orders-by-customer")
-    program.sql("spend",
-                "SELECT customer_id, sum(amount) AS total FROM orders "
-                "GROUP BY customer_id", engine="ordersdb")
-    program.timeseries_summary("sessions", series_prefix="sessions/",
-                               engine="telemetry")
-    program.join("features", left="spend", right="sessions",
-                 left_key="customer_id", right_key="pid")
-    program.output("features")
+    spend = dataset("ordersdb").sql(
+        "SELECT customer_id, sum(amount) AS total FROM orders "
+        "GROUP BY customer_id").named("spend")
+    sessions = dataset("telemetry").timeseries("sessions/").named("sessions")
+    program = DataflowProgram("orders-by-customer")
+    program.output("features", spend.join(sessions, left_key="customer_id",
+                                          right_key="pid"))
     return program
+
+
+def _node(program, kind):
+    (_, root), = program.output_items()
+    return next(node for node in root.walk() if node.kind == kind)
 
 
 class TestPlanCacheLRU:
@@ -108,18 +110,16 @@ class TestSessionPlanCaching:
         program_b = _orders_program()
         assert program_a.fingerprint() == program_b.fingerprint()
         # Mutating structure that feeds an output changes the identity.
-        program_b.fragment("spend").params["query"] = (
-            "SELECT customer_id, sum(amount) AS total FROM orders "
-            "WHERE amount > 1 GROUP BY customer_id")
+        _node(program_b, "scan").params["table"] = "orders_archive"
         assert program_a.fingerprint() != program_b.fingerprint()
 
     def test_dead_fragments_do_not_change_fingerprint(self):
-        # Fingerprints cover the output-reachable dataflow only: a fragment
-        # no output depends on cannot affect results, so two such programs
-        # correctly share one cached plan.
+        # Fingerprints cover the output-reachable dataflow only: a dataset
+        # built on a program's nodes but never output cannot affect results,
+        # so two such programs correctly share one cached plan.
         program_a = _orders_program()
         program_b = _orders_program()
-        program_b.sql("extra", "SELECT * FROM orders", engine="ordersdb")
+        Dataset(_node(program_b, "aggregate")).filter(col("total") > 1).named("extra")
         assert program_a.fingerprint() == program_b.fingerprint()
 
     def test_one_shot_execute_reuses_cached_plans(self):
@@ -300,8 +300,7 @@ class TestSnapshotRelease:
         assert entry.snapshot.pinned > 0
         # Preparing a different program evicts the first entry...
         other = _orders_program()
-        other.sql("extra", "SELECT * FROM orders", engine="ordersdb")
-        other.output("extra")
+        other.output("extra", dataset("ordersdb").sql("SELECT * FROM orders"))
         session.prepare(other)
         # ...and the eviction callback released its pinned engine reads.
         assert entry.snapshot.pinned == 0
@@ -353,8 +352,7 @@ class TestSnapshotRelease:
         snapshot_ref = weakref.ref(prepared._entry.snapshot)
         entry_ref = weakref.ref(prepared._entry)
         other = _orders_program()
-        other.sql("extra", "SELECT * FROM orders", engine="ordersdb")
-        other.output("extra")
+        other.output("extra", dataset("ordersdb").sql("SELECT * FROM orders"))
         session.prepare(other)  # evicts the first entry from the LRU
         del prepared  # drop the only remaining strong reference
         gc.collect()

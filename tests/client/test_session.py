@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro import HeterogeneousProgram, Param
+from repro import DataflowProgram, Param, dataset
 from repro.client import PreparedProgram
 from repro.core import build_accelerated_polystore
 from repro.datamodel import DataType, Table, make_schema
@@ -31,35 +31,35 @@ def deployment():
     return build_accelerated_polystore([relational, timeseries, ml])
 
 
-def query_program() -> HeterogeneousProgram:
-    program = HeterogeneousProgram("spend-features")
-    program.sql("spend",
-                "SELECT customer_id, sum(amount) AS total_spend, count(*) AS n "
-                "FROM orders GROUP BY customer_id", engine="ordersdb")
-    program.timeseries_summary("sessions", series_prefix="sessions/",
-                               engine="telemetry")
-    program.join("features", left="spend", right="sessions",
-                 left_key="customer_id", right_key="pid")
-    program.output("features")
+def _sessions_join(spend_sql: str):
+    spend = dataset("ordersdb").sql(spend_sql).named("spend")
+    sessions = dataset("telemetry").timeseries("sessions/").named("sessions")
+    return spend.join(sessions, left_key="customer_id", right_key="pid")
+
+
+def query_program() -> DataflowProgram:
+    program = DataflowProgram("spend-features")
+    program.output("features", _sessions_join(
+        "SELECT customer_id, sum(amount) AS total_spend, count(*) AS n "
+        "FROM orders GROUP BY customer_id"))
     return program
 
 
-def train_program() -> HeterogeneousProgram:
-    program = query_program()
-    # Rebuild with a training head so ML work stays un-pinnable.
-    trained = HeterogeneousProgram("spend-model")
-    trained.sql("spend",
-                "SELECT customer_id, sum(amount) AS total_spend, "
-                "max(returned) AS any_return FROM orders GROUP BY customer_id",
-                engine="ordersdb")
-    trained.timeseries_summary("sessions", series_prefix="sessions/",
-                               engine="telemetry")
-    trained.join("features", left="spend", right="sessions",
-                 left_key="customer_id", right_key="pid")
-    trained.train("model", features="features", label_column="any_return",
-                  epochs=2, engine="ml")
-    trained.output("model")
+def train_program() -> DataflowProgram:
+    # A training head keeps ML work un-pinnable.
+    features = _sessions_join(
+        "SELECT customer_id, sum(amount) AS total_spend, "
+        "max(returned) AS any_return FROM orders GROUP BY customer_id").named("features")
+    trained = DataflowProgram("spend-model")
+    trained.output("model", features.train(label_column="any_return",
+                                           model_name="model", epochs=2, engine="ml"))
     return trained
+
+
+def _node(program: DataflowProgram, kind: str):
+    """The first node of ``kind`` in the program's (single) output tree."""
+    (_, root), = program.output_items()
+    return next(node for node in root.walk() if node.kind == kind)
 
 
 class TestPreparedPrograms:
@@ -70,7 +70,7 @@ class TestPreparedPrograms:
         assert isinstance(prepared, PreparedProgram)
         assert program.frozen
         with pytest.raises(CompilationError):
-            program.sql("late", "SELECT * FROM orders", engine="ordersdb")
+            program.output("late", dataset("ordersdb").sql("SELECT * FROM orders"))
 
     def test_prepared_outputs_match_one_shot(self, deployment):
         session = deployment.session()
@@ -147,11 +147,12 @@ class TestReviewRegressions:
         session = deployment.session()
         program = query_program()
         prepared = session.prepare(program, freeze=False)
-        assert len(prepared.run().output("features")) == 20
-        program.fragment("spend").params["query"] = (
-            "SELECT customer_id, sum(amount) AS total_spend, count(*) AS n "
-            "FROM orders WHERE customer_id < 5 GROUP BY customer_id")
-        assert len(prepared.run().output("features")) == 5
+        full = prepared.run().output("features")
+        assert len(full) == 20
+        _node(program, "ts_summarize").params["end"] = 3.0
+        windowed = prepared.run().output("features")
+        assert len(windowed) == 20
+        assert max(windowed.column("vital_count")) < max(full.column("vital_count"))
 
     def test_mode_plan_reresolved_after_deployment_change(self, deployment):
         from repro.core import build_cpu_polystore
@@ -159,9 +160,8 @@ class TestReviewRegressions:
         system = build_cpu_polystore([RelationalEngine("soloDB")])
         system.engine("soloDB").load_table(
             "t", Table(make_schema(("x", DataType.INT)), [(1,), (2,)]))
-        program = HeterogeneousProgram("solo")
-        program.sql("rows", "SELECT x FROM t", engine="soloDB")
-        program.output("rows")
+        program = DataflowProgram("solo")
+        program.output("rows", dataset("soloDB").sql("SELECT x FROM t"))
         session = system.session()
         prepared = session.prepare(program, mode="polystore++")
         assert prepared._plan.migration_strategy == "binary_pipe"
@@ -189,11 +189,9 @@ class TestRuntimeParameters:
     def test_param_binding_and_defaults(self, deployment):
         # The summary window's end time is bound per run, prepared once.
         session = deployment.session()
-        parameterized = HeterogeneousProgram("bounded-sessions")
-        parameterized.timeseries_summary("sessions", series_prefix="sessions/",
-                                         end=Param("end", default=None),
-                                         engine="telemetry")
-        parameterized.output("sessions")
+        parameterized = DataflowProgram("bounded-sessions")
+        parameterized.output("sessions", dataset("telemetry").timeseries(
+            "sessions/", end=Param("end", default=None)))
         prepared = session.prepare(parameterized)
         assert set(prepared.parameters()) == {"end"}
         everything = prepared.run()
@@ -206,10 +204,9 @@ class TestRuntimeParameters:
 
     def test_unknown_parameter_rejected(self, deployment):
         session = deployment.session()
-        parameterized = HeterogeneousProgram("bounded")
-        parameterized.timeseries_summary("sessions", series_prefix="sessions/",
-                                         end=Param("end", default=None),
-                                         engine="telemetry")
+        parameterized = DataflowProgram("bounded")
+        parameterized.output("sessions", dataset("telemetry").timeseries(
+            "sessions/", end=Param("end", default=None)))
         prepared = session.prepare(parameterized)
         with pytest.raises(ExecutionError, match="unknown parameter"):
             prepared.run(limit=5)
@@ -292,11 +289,10 @@ class TestSatelliteFixes:
             ("a", DataType.FLOAT), ("b", DataType.FLOAT), ("y", DataType.INT)),
             [(float(i % 7), float(i % 11), i % 2) for i in range(200)]))
         system = build_accelerated_polystore([features, MLEngine("ml")])
-        program = HeterogeneousProgram("fit")
-        program.sql("rows", "SELECT a, b, y FROM features", engine="featuredb")
-        program.train("model", features="rows", label_column="y", epochs=2,
-                      engine="ml")
-        program.output("model")
+        rows = dataset("featuredb").sql("SELECT a, b, y FROM features").named("rows")
+        program = DataflowProgram("fit")
+        program.output("model", rows.train(label_column="y", model_name="model",
+                                           epochs=2, engine="ml"))
         prepared = system.session().prepare(program)
         charged = []
         for _ in range(2):
@@ -318,7 +314,7 @@ class TestSatelliteFixes:
 class TestParamDefaultPinning:
     def test_argumentless_runs_of_param_programs_reuse_pins(self, deployment):
         program = query_program()
-        program.fragment("sessions").params["end"] = Param("end", default=None)
+        _node(program, "ts_summarize").params["end"] = Param("end", default=None)
         session = deployment.session()
         prepared = session.prepare(program)
         first = prepared.run()
@@ -330,7 +326,7 @@ class TestParamDefaultPinning:
 
     def test_explicit_bindings_still_bypass_pins(self, deployment):
         program = query_program()
-        program.fragment("sessions").params["end"] = Param("end", default=None)
+        _node(program, "ts_summarize").params["end"] = Param("end", default=None)
         session = deployment.session()
         prepared = session.prepare(program)
         full = prepared.run()

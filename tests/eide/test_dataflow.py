@@ -6,13 +6,11 @@ import pytest
 
 from repro.eide import (
     DataflowProgram,
-    HeterogeneousProgram,
     Param,
     canonicalize,
     col,
     dataset,
     lit,
-    to_dataflow,
 )
 from repro.eide.expressions import bind_params, find_params
 from repro.exceptions import CompilationError
@@ -223,30 +221,30 @@ class TestDataflowProgram:
 
 
 class TestLegacyConversion:
+    """SQL text, the query language existing clients speak, parses into the
+    same trees the structured builders produce (``dataset(e).sql(...)``)."""
+
     def test_sql_fragments_parse_into_trees(self):
-        program = HeterogeneousProgram("legacy")
-        program.sql("q", "SELECT pid FROM t WHERE age > 60", engine="db")
-        flow = to_dataflow(program)
-        (name, root), = flow.output_items()
-        assert name == "q"
+        root = dataset("db").sql("SELECT pid FROM t WHERE age > 60").node
         kinds = [node.kind for node in root.walk()]
         assert kinds == ["scan", "filter", "project"]
+        assert {node.engine for node in root.walk()} == {"db"}
         filter_node = [n for n in root.walk() if n.kind == "filter"][0]
         assert isinstance(filter_node.params["predicate"], Comparison)
+        structured = (dataset("db").table("t").filter(col("age") > 60)
+                      .project("pid")).node
+        assert root.canonical() == structured.canonical()
 
     def test_legacy_fingerprint_ignores_sql_formatting(self):
-        one = HeterogeneousProgram("p")
-        one.sql("q", "SELECT pid FROM t WHERE age > 60", engine="db")
-        two = HeterogeneousProgram("p")
-        two.sql("q", "SELECT  pid  FROM  t  WHERE  age > 60", engine="db")
+        one = DataflowProgram("p")
+        one.output("q", dataset("db").sql("SELECT pid FROM t WHERE age > 60"))
+        two = DataflowProgram("p")
+        two.output("q", dataset("db").sql("SELECT  pid  FROM  t  WHERE  age > 60"))
         assert one.fingerprint() == two.fingerprint()
 
     def test_shared_fragment_converts_once(self):
-        program = HeterogeneousProgram("p")
-        program.sql("base", "SELECT pid FROM t", engine="db")
-        program.join("selfjoin", left="base", right="base", on="pid")
-        flow = to_dataflow(program)
-        (_, root), = flow.output_items()
+        base = dataset("db").sql("SELECT pid FROM t")
+        root = base.join(base, on="pid").node
         assert root.inputs[0] is root.inputs[1]
 
 

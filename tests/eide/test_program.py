@@ -5,22 +5,26 @@ from __future__ import annotations
 import pytest
 
 from repro.eide import (
-    HeterogeneousProgram,
+    DataflowProgram,
     Param,
-    SubProgram,
     compile_natural_language,
+    dataset,
     recognize_intent,
 )
 from repro.exceptions import CompilationError
 
 
-def _build_demo() -> HeterogeneousProgram:
-    program = HeterogeneousProgram("demo")
-    program.sql("a", "SELECT x FROM t", engine="db")
-    program.timeseries_summary("b", series_prefix="hr/")
-    program.join("c", left="a", right="b", on="x")
-    program.output("c")
+def _build_demo(name: str = "demo") -> DataflowProgram:
+    a = dataset("db").sql("SELECT x FROM t").named("a")
+    b = dataset().timeseries("hr/").named("b")
+    program = DataflowProgram(name)
+    program.output("c", a.join(b, on="x"))
     return program
+
+
+def _kinds(program: DataflowProgram) -> list[str]:
+    (_, root), = program.output_items()
+    return [node.kind for node in root.walk()]
 
 
 class TestFreezeAndFingerprint:
@@ -29,23 +33,23 @@ class TestFreezeAndFingerprint:
 
     def test_fingerprint_sensitive_to_structure(self):
         base = _build_demo().fingerprint()
-        renamed = HeterogeneousProgram("demo2")
-        renamed.sql("a", "SELECT x FROM t", engine="db")
-        assert renamed.fingerprint() != base
-        changed_sql = _build_demo()
-        changed_sql.fragment("a").params["query"] = "SELECT y FROM t"
+        assert _build_demo("demo2").fingerprint() != base
+        changed_sql = DataflowProgram("demo")
+        changed_sql.output("c", dataset("db").sql("SELECT y FROM t").named("a").join(
+            dataset().timeseries("hr/"), on="x"))
         assert changed_sql.fingerprint() != base
 
     def test_python_callables_hash_by_identity(self):
         def transform(table):
             return table
 
-        one = HeterogeneousProgram("py")
-        one.python("t", transform)
-        again = HeterogeneousProgram("py")
-        again.python("t", transform)
-        other = HeterogeneousProgram("py")
-        other.python("t", lambda table: table)
+        def udf_program(fn) -> DataflowProgram:
+            program = DataflowProgram("py")
+            program.output("t", dataset("db").table("t").apply(fn))
+            return program
+
+        one, again = udf_program(transform), udf_program(transform)
+        other = udf_program(lambda table: table)
         assert one.fingerprint() == again.fingerprint()
         assert one.fingerprint() != other.fingerprint()
 
@@ -53,15 +57,13 @@ class TestFreezeAndFingerprint:
         program = _build_demo().freeze()
         assert program.frozen
         with pytest.raises(CompilationError):
-            program.sql("late", "SELECT 1 FROM t")
-        with pytest.raises(CompilationError):
-            program.output("a")
+            program.output("late", dataset("db").sql("SELECT x FROM t"))
 
     def test_declared_params_found_in_nested_values(self):
-        program = HeterogeneousProgram("parametrized")
-        program.timeseries_summary("b", series_prefix="hr/",
-                                   end=Param("end", default=None))
-        program.kv_lookup("k", keys=[Param("key")])
+        program = DataflowProgram("parametrized")
+        program.output("b", dataset("ts").timeseries(
+            "hr/", end=Param("end", default=None)))
+        program.output("k", dataset("kv").kv([Param("key")]))
         declared = program.declared_params()
         assert set(declared) == {"end", "key"}
         assert declared["end"].has_default and not declared["key"].has_default
@@ -69,60 +71,35 @@ class TestFreezeAndFingerprint:
 
 class TestProgramModel:
     def test_fluent_builder_and_dependencies(self):
-        program = HeterogeneousProgram("demo")
-        program.sql("a", "SELECT x FROM t", engine="db")
-        program.timeseries_summary("b", series_prefix="hr/")
-        program.join("c", left="a", right="b", on="x")
-        program.train("d", features="c", label_column="y")
-        program.output("d")
-        assert len(program) == 4
-        assert program.fragment("c").inputs == ["a", "b"]
+        a = dataset("db").sql("SELECT x FROM t")
+        b = dataset().timeseries("hr/")
+        c = a.join(b, on="x")
+        program = DataflowProgram("demo")
+        program.output("d", c.train(label_column="y", model_name="d"))
+        assert len(program) == 5  # scan, project, ts_summarize, join, train
+        assert c.node.inputs == (a.node, b.node)
         assert program.outputs == ["d"]
-        assert set(program.paradigms_used()) == {"sql", "timeseries_summary", "join", "train"}
-
-    def test_duplicate_fragment_name_rejected(self):
-        program = HeterogeneousProgram("demo")
-        program.sql("a", "SELECT x FROM t")
-        with pytest.raises(CompilationError):
-            program.sql("a", "SELECT y FROM t")
+        assert set(_kinds(program)) == {"scan", "project", "ts_summarize", "join",
+                                        "train"}
 
     def test_unknown_dependency_rejected(self):
-        program = HeterogeneousProgram("demo")
         with pytest.raises(CompilationError):
-            program.join("j", left="ghost", right="ghost2", on="x")
+            dataset("db").table("t").join("ghost", on="x")
 
     def test_join_requires_keys(self):
-        program = HeterogeneousProgram("demo")
-        program.sql("a", "SELECT x FROM t")
-        program.sql("b", "SELECT x FROM u")
+        a = dataset("db").sql("SELECT x FROM t")
+        b = dataset("db").sql("SELECT x FROM u")
         with pytest.raises(CompilationError):
-            program.join("c", left="a", right="b")
+            a.join(b)
 
     def test_kv_lookup_requires_keys_or_prefix(self):
-        program = HeterogeneousProgram("demo")
         with pytest.raises(CompilationError):
-            program.kv_lookup("k")
-
-    def test_unknown_paradigm_rejected(self):
-        with pytest.raises(CompilationError):
-            SubProgram("x", "quantum", {})
-
-    def test_default_output_is_last_fragment(self):
-        program = HeterogeneousProgram("demo")
-        program.sql("a", "SELECT x FROM t")
-        program.sql("b", "SELECT y FROM t")
-        assert program.outputs == ["b"]
+            dataset("kv").kv()
 
     def test_output_requires_known_fragment(self):
-        program = HeterogeneousProgram("demo")
+        program = DataflowProgram("demo")
         with pytest.raises(CompilationError):
-            program.output("nope")
-
-    def test_describe_lists_fragments(self):
-        program = HeterogeneousProgram("demo")
-        program.sql("a", "SELECT x FROM t", engine="db")
-        text = program.describe()
-        assert "a: sql @ db" in text
+            program.output("nope", "a")
 
 
 class TestNaturalLanguage:
@@ -148,21 +125,37 @@ class TestNaturalLanguage:
     def test_compile_predict_stay_program_shape(self):
         program = compile_natural_language(
             "Will patients have a long stay at the hospital (> 5 days)?")
-        assert "train" in program.paradigms_used()
-        assert "sql" in program.paradigms_used()
+        assert {"train", "scan", "ts_summarize"} <= set(_kinds(program))
         assert program.outputs == ["model"]
 
     def test_compile_history_embeds_patient_id(self):
         program = compile_natural_language("admission history of patient 7",
                                            relational_engine="db1")
-        query = program.fragment("history").params["query"]
-        assert "pid = 7" in query
-        assert program.fragment("history").engine == "db1"
+        (_, root), = program.output_items()
+        predicate = next(n for n in root.walk() if n.kind == "filter").params["predicate"]
+        assert (predicate.left.name, predicate.op, predicate.right.value) == ("pid", "=", 7)
+        assert {node.engine for node in root.walk()} == {"db1"}
+
+    @pytest.mark.parametrize("slot", ["pid", "abc"])
+    def test_compile_history_rejects_non_integer_patient_id(self, slot):
+        # The slot is spliced into SQL; a word there would parse as a column
+        # reference (``pid = pid`` matches every admission).
+        with pytest.raises(CompilationError, match="patient id"):
+            compile_natural_language(f"admission history of patient {slot}")
+
+    def test_compile_history_numeric_patient_id_keeps_sql_tree(self):
+        program = compile_natural_language("admission history of patient 4")
+        expected = DataflowProgram("nl-patient-history")
+        expected.output("history", dataset("relational").sql(
+            "SELECT pid, admit_date, diagnosis FROM admissions WHERE pid = 4 "
+            "ORDER BY admit_date"))
+        assert program.fingerprint() == expected.fingerprint()
 
     def test_compile_top_customers_limit(self):
         program = compile_natural_language("top 3 customers this quarter")
-        assert "LIMIT 3" in program.fragment("spend").params["query"]
+        (_, root), = program.output_items()
+        assert root.kind == "limit" and root.params["n"] == 3
 
     def test_compile_recommendation(self):
         program = compile_natural_language("recommend the next best offer for users")
-        assert "kv_lookup" in program.paradigms_used()
+        assert "kv_get" in _kinds(program)

@@ -8,7 +8,7 @@ from repro import PolystorePlusPlus, col, view_dataset
 from repro.compiler.pipeline import CompilerOptions
 from repro.datamodel import DataType, Table, make_schema
 from repro.eide.dataflow import DataflowProgram, Dataset
-from repro.eide.program import Param
+from repro.eide import Param
 from repro.exceptions import ConfigurationError
 from repro.stores import KeyValueEngine, RelationalEngine
 
